@@ -10,7 +10,7 @@ import numpy as np
 from repro.marketplace.mp import month_edges
 from repro.types import RatingDataset, RatingStream
 
-__all__ = ["month_windows", "AggregationScheme"]
+__all__ = ["month_windows", "period_slices", "AggregationScheme"]
 
 
 def month_windows(
@@ -21,26 +21,16 @@ def month_windows(
     return [(float(edges[i]), float(edges[i + 1])) for i in range(edges.size - 1)]
 
 
-def dataset_fingerprint(dataset: RatingDataset) -> Tuple:
-    """A cheap, content-based cache key for a dataset.
+def period_slices(stream: RatingStream, edges: np.ndarray) -> List[slice]:
+    """Each period's ratings as a slice of the time-sorted ``stream``.
 
-    Streams are immutable snapshots (their arrays are write-protected), so
-    hashing the raw bytes of times and values identifies the data reliably.
-    Rater identities matter to trust-based schemes, so they are included.
+    ``stream.values[period_slices(stream, edges)[i]]`` holds the ratings
+    with ``edges[i] <= time < edges[i + 1]`` -- the rows
+    ``stream.between(edges[i], edges[i + 1])`` selects, in the same order,
+    without building and re-validating a sub-stream per period.
     """
-    parts = []
-    for product_id in dataset:
-        stream = dataset[product_id]
-        parts.append(
-            (
-                product_id,
-                len(stream),
-                hash(stream.times.tobytes()),
-                hash(stream.values.tobytes()),
-                hash(stream.rater_ids),
-            )
-        )
-    return tuple(parts)
+    bounds = np.searchsorted(stream.times, edges, side="left").tolist()
+    return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 class AggregationScheme(ABC):
@@ -81,10 +71,3 @@ class AggregationScheme(ABC):
             finite = series[np.isfinite(series)]
             out[product_id] = float(finite[-1]) if finite.size else float("nan")
         return out
-
-    @staticmethod
-    def _windowed_streams(
-        stream: RatingStream, windows: List[Tuple[float, float]]
-    ) -> List[RatingStream]:
-        """The stream cut into the per-period sub-streams."""
-        return [stream.between(lo, hi) for lo, hi in windows]

@@ -31,16 +31,17 @@ Two deliberate properties, matching the paper's findings about BF:
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 import numpy as np
 from scipy.stats import beta as beta_dist
 
-from repro.aggregation.base import AggregationScheme, month_windows
+from repro.aggregation.base import AggregationScheme, period_slices
 from repro.errors import ValidationError
-from repro.trust.beta import BetaEvidence
-from repro.types import DEFAULT_SCALE, RatingDataset, RatingScale, RatingStream
+from repro.marketplace.mp import month_edges
+from repro.types import DEFAULT_SCALE, RatingDataset, RatingScale
 
 __all__ = ["BetaFilterConfig", "BetaFilterScheme"]
 
@@ -86,12 +87,24 @@ class BetaFilterConfig:
 
 
 class BetaFilterScheme(AggregationScheme):
-    """Majority-rule beta filtering with cumulative beta trust."""
+    """Majority-rule beta filtering with cumulative beta trust.
+
+    A window's keep-mask depends only on the configuration and the
+    window's rating values, so the last :attr:`mask_cache_size` masks are
+    kept (least recently used evicted first).  The key holds the config
+    and the values' bytes, so a hit is an equality match: a (product,
+    month) cell an attack left untouched is never filtered twice.
+    """
 
     name = "BF"
 
+    #: Keep-masks kept per instance: a challenge world's cells (9
+    #: products x 3 months) plus a few submissions' attacked cells.
+    mask_cache_size = 256
+
     def __init__(self, config: BetaFilterConfig = BetaFilterConfig()) -> None:
         self.config = config
+        self._masks: "OrderedDict" = OrderedDict()
 
     # ------------------------------------------------------------------ #
 
@@ -129,6 +142,20 @@ class BetaFilterScheme(AggregationScheme):
             keep &= ~incompatible
         return keep
 
+    def _keep_mask(self, values: np.ndarray) -> np.ndarray:
+        """:meth:`filter_window` through the LRU; the mask is read-only."""
+        key = (self.config, values.tobytes())
+        keep = self._masks.get(key)
+        if keep is not None:
+            self._masks.move_to_end(key)
+            return keep
+        keep = self.filter_window(values)
+        keep.setflags(write=False)
+        self._masks[key] = keep
+        if len(self._masks) > self.mask_cache_size:
+            self._masks.popitem(last=False)
+        return keep
+
     # ------------------------------------------------------------------ #
 
     def monthly_scores(
@@ -138,46 +165,53 @@ class BetaFilterScheme(AggregationScheme):
         start_day: float = 0.0,
         end_day: float = 90.0,
     ) -> Dict[str, np.ndarray]:
-        windows = month_windows(start_day, end_day, period_days)
-        evidence: Dict[str, BetaEvidence] = {}
-        # Work month-by-month across ALL products so trust accumulates
-        # globally (a rater filtered on one product is distrusted on all).
-        per_window_masks: Dict[str, List[np.ndarray]] = {}
-        window_streams: Dict[str, List[RatingStream]] = {}
+        edges = month_edges(start_day, end_day, period_days)
+        n_windows = edges.size - 1
+        # Rater evidence lives in count arrays indexed by per-call rater
+        # codes; the counts are whole numbers, so the trust values equal
+        # the scalar (S + 1) / (S + F + 2) bit for bit.
+        codes: Dict[str, int] = {}
+        columns = []
         for product_id in dataset:
             stream = dataset[product_id]
-            window_streams[product_id] = self._windowed_streams(stream, windows)
-            per_window_masks[product_id] = []
+            raters = np.fromiter(
+                (codes.setdefault(r, len(codes)) for r in stream.rater_ids),
+                dtype=np.intp,
+                count=len(stream),
+            )
+            columns.append(
+                (product_id, stream.values, raters, period_slices(stream, edges))
+            )
+        successes = np.zeros(len(codes))
+        failures = np.zeros(len(codes))
+        threshold = self.config.exclude_trust_threshold
         scores: Dict[str, np.ndarray] = {
-            product_id: np.full(len(windows), np.nan) for product_id in dataset
+            product_id: np.full(n_windows, np.nan) for product_id in dataset
         }
-        for w_index in range(len(windows)):
+        # Work month-by-month across ALL products so trust accumulates
+        # globally (a rater filtered on one product is distrusted on all).
+        for w_index in range(n_windows):
             # Phase 1: filter every product's window, update evidence.
-            for product_id in dataset:
-                window = window_streams[product_id][w_index]
-                if len(window) == 0:
-                    per_window_masks[product_id].append(np.zeros(0, dtype=bool))
+            masks: List[Optional[np.ndarray]] = []
+            for _, values, raters, windows in columns:
+                window = windows[w_index]
+                if window.stop == window.start:
+                    masks.append(None)
                     continue
-                keep = self.filter_window(window.values)
-                per_window_masks[product_id].append(keep)
-                for rater_id, kept in zip(window.rater_ids, keep):
-                    acc = evidence.setdefault(rater_id, BetaEvidence())
-                    acc.record(good=1.0 if kept else 0.0, bad=0.0 if kept else 1.0)
+                keep = self._keep_mask(values[window])
+                masks.append(keep)
+                np.add.at(successes, raters[window], keep)
+                np.add.at(failures, raters[window], ~keep)
             # Phase 2: aggregate the survivors of trusted-enough raters.
-            threshold = self.config.exclude_trust_threshold
-            for product_id in dataset:
-                window = window_streams[product_id][w_index]
-                keep = per_window_masks[product_id][w_index]
-                if len(window) == 0 or not keep.any():
+            for (product_id, values, raters, windows), keep in zip(columns, masks):
+                if keep is None or not keep.any():
                     continue
-                trusted = np.asarray(
-                    [
-                        evidence.get(rater_id, BetaEvidence()).trust >= threshold
-                        for rater_id in window.rater_ids
-                    ]
-                )
-                usable = keep & trusted
+                window = windows[w_index]
+                window_raters = raters[window]
+                good = successes[window_raters]
+                trust = (good + 1.0) / (good + failures[window_raters] + 2.0)
+                usable = keep & (trust >= threshold)
                 if not usable.any():
                     continue
-                scores[product_id][w_index] = float(window.values[usable].mean())
+                scores[product_id][w_index] = float(values[window][usable].mean())
         return scores

@@ -21,13 +21,15 @@ IV-B.3 condition 2), then recomputes trust -- capturing the feedback loop
 between detection and trust at roughly double the cost.
 
 Detection on a given stream is independent of the rest of the dataset, so
-per-stream detection reports are cached by content fingerprint; evaluating
-hundreds of challenge submissions against the same fair world only pays
-for the attacked products.  Whether that claim holds in practice is
-observable: both caches report hits/misses/evictions into the active
-metrics registry (``pscheme.report_cache.*``, ``pscheme.scores_cache.*``)
-and each pipeline stage is timed under
-``span.pscheme.monthly_scores.{detect,trust,aggregate}.seconds``.
+per-stream detection reports are cached by stream content (least recently
+used evicted first); evaluating hundreds of challenge submissions against
+the same fair world only pays for the attacked products.  The fair world's
+own monthly scores are not memoised here: the MP layer
+(:meth:`~repro.marketplace.challenge.RatingChallenge.evaluate`) computes
+them once per scheme instance.  Whether the report cache pays is
+observable: it reports hits/misses/evictions into the active metrics
+registry (``pscheme.report_cache.*``) and each pipeline stage is timed
+under ``span.pscheme.monthly_scores.{detect,trust,aggregate}.seconds``.
 """
 
 from __future__ import annotations
@@ -38,19 +40,18 @@ from typing import Callable, Dict, Optional
 
 import numpy as np
 
-from repro.aggregation.base import AggregationScheme, dataset_fingerprint, month_windows
+from repro.aggregation.base import AggregationScheme, period_slices
 from repro.aggregation.weighted import trust_weighted_average
 from repro.detectors.base import DetectorConfig
 from repro.detectors.integration import JointDetector
 from repro.errors import ValidationError
-from repro.obs import get_logger, span
+from repro.marketplace.mp import month_edges
+from repro.obs import span
 from repro.obs.registry import MetricsRegistry, get_registry
 from repro.trust.manager import TrustManager
 from repro.types import RatingDataset, RatingStream
 
 __all__ = ["PSchemeConfig", "PScheme"]
-
-logger = get_logger(__name__)
 
 
 @dataclass(frozen=True)
@@ -82,7 +83,9 @@ class PSchemeConfig:
         dropped and the survivors are averaged without trust -- isolating
         how much the trust layer contributes beyond raw detection.
     cache_size:
-        Number of ``monthly_scores`` results kept (FIFO).
+        Sizes the per-stream detection report cache, which keeps the
+        ``max(4 * cache_size, 64)`` most recently used trust-free
+        detection reports.
     """
 
     detector: DetectorConfig = field(default_factory=DetectorConfig)
@@ -111,13 +114,13 @@ class PSchemeConfig:
             raise ValidationError(f"cache_size must be >= 0, got {self.cache_size}")
 
 
-def _stream_key(stream: RatingStream):
+def _stream_key(stream: RatingStream) -> tuple:
+    """Everything detection reads from a stream, as a by-value dict key."""
     return (
         stream.product_id,
-        len(stream),
-        hash(stream.times.tobytes()),
-        hash(stream.values.tobytes()),
-        hash(stream.rater_ids),
+        stream.times.tobytes(),
+        stream.values.tobytes(),
+        stream.rater_ids,
     )
 
 
@@ -141,7 +144,6 @@ class PScheme(AggregationScheme):
         self._registry = registry
         self.detector = JointDetector(self.config.detector, registry=registry)
         self._report_cache: "OrderedDict" = OrderedDict()
-        self._scores_cache: "OrderedDict" = OrderedDict()
 
     @property
     def registry(self) -> MetricsRegistry:
@@ -192,6 +194,7 @@ class PScheme(AggregationScheme):
                 missing.append(stream)
             else:
                 registry.inc("pscheme.report_cache.hits")
+                self._report_cache.move_to_end(key)
                 marks[product_id] = cached
         if missing:
             reports = self.detector.analyze_batch(RatingDataset(missing))
@@ -238,65 +241,46 @@ class PScheme(AggregationScheme):
         end_day: float = 90.0,
     ) -> Dict[str, np.ndarray]:
         registry = self.registry
-        cache_key = (
-            dataset_fingerprint(dataset),
-            float(period_days),
-            float(start_day),
-            float(end_day),
-        )
-        if self.config.cache_size and cache_key in self._scores_cache:
-            registry.inc("pscheme.scores_cache.hits")
-            logger.debug("scores cache hit (%d products)", len(dataset))
-            return {k: v.copy() for k, v in self._scores_cache[cache_key].items()}
-        registry.inc("pscheme.scores_cache.misses")
         with span("pscheme.monthly_scores", registry):
-            windows = month_windows(start_day, end_day, period_days)
-            epoch_times = [hi for _, hi in windows]
+            edges = month_edges(start_day, end_day, period_days)
+            epoch_times = [float(hi) for hi in edges[1:]]
             marks, snapshots = self._trust_and_marks(
                 dataset, epoch_times, registry
             )
             with span("aggregate", registry):
-                scores = self._aggregate(dataset, windows, marks, snapshots)
-        if self.config.cache_size:
-            self._scores_cache[cache_key] = {k: v.copy() for k, v in scores.items()}
-            while len(self._scores_cache) > self.config.cache_size:
-                self._scores_cache.popitem(last=False)
-                registry.inc("pscheme.scores_cache.evictions")
+                scores = self._aggregate(dataset, edges, marks, snapshots)
         return scores
 
-    def _aggregate(self, dataset, windows, marks, snapshots):
+    def _aggregate(self, dataset, edges, marks, snapshots):
         """Step 4: filter highly suspicious ratings, combine per Eq. 7."""
         scores: Dict[str, np.ndarray] = {}
         threshold = self.config.filter_trust_threshold
         for product_id in dataset:
             stream = dataset[product_id]
             mask = marks[product_id]
-            series = np.full(len(windows), np.nan)
-            for i, (lo, hi) in enumerate(windows):
-                in_window = (stream.times >= lo) & (stream.times < hi)
-                if not in_window.any():
+            series = np.full(edges.size - 1, np.nan)
+            for i, window in enumerate(period_slices(stream, edges)):
+                if window.stop == window.start:
                     continue
-                idx = np.nonzero(in_window)[0]
-                suspicious = mask[idx]
+                suspicious = mask[window]
+                values = stream.values[window]
                 if not self.config.use_trust_weights:
                     # Filter-only ablation: drop marked ratings, plain mean.
                     keep = ~suspicious
                     if not keep.any():
                         continue
-                    series[i] = float(stream.values[idx][keep].mean())
+                    series[i] = float(values[keep].mean())
                     continue
                 snapshot = snapshots[i]
                 trusts = np.asarray(
                     [
-                        snapshot.value(stream.rater_ids[j], self.config.initial_trust)
-                        for j in idx
+                        snapshot.value(rater_id, self.config.initial_trust)
+                        for rater_id in stream.rater_ids[window]
                     ]
                 )
                 keep = ~(suspicious & (trusts < threshold))
                 if not keep.any():
                     continue
-                series[i] = trust_weighted_average(
-                    stream.values[idx][keep], trusts[keep]
-                )
+                series[i] = trust_weighted_average(values[keep], trusts[keep])
             scores[product_id] = series
         return scores

@@ -12,7 +12,8 @@ from typing import Dict
 
 import numpy as np
 
-from repro.aggregation.base import AggregationScheme, month_windows
+from repro.aggregation.base import AggregationScheme, period_slices
+from repro.marketplace.mp import month_edges
 from repro.types import RatingDataset
 
 __all__ = ["SimpleAveragingScheme"]
@@ -30,14 +31,13 @@ class SimpleAveragingScheme(AggregationScheme):
         start_day: float = 0.0,
         end_day: float = 90.0,
     ) -> Dict[str, np.ndarray]:
-        windows = month_windows(start_day, end_day, period_days)
+        edges = month_edges(start_day, end_day, period_days)
         scores: Dict[str, np.ndarray] = {}
         for product_id in dataset:
             stream = dataset[product_id]
-            series = np.full(len(windows), np.nan)
-            for i, (lo, hi) in enumerate(windows):
-                window = stream.between(lo, hi)
-                if len(window):
-                    series[i] = window.values.mean()
+            series = np.full(edges.size - 1, np.nan)
+            for i, window in enumerate(period_slices(stream, edges)):
+                if window.stop > window.start:
+                    series[i] = stream.values[window].mean()
             scores[product_id] = series
         return scores

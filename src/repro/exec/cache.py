@@ -15,8 +15,13 @@ Two layers:
   pool's workers and the parent) turns repeated sweeps into reads.
 
 Writes go through a temp file + :func:`os.replace` so concurrent
-writers (pool workers, parallel benches) can never leave a torn entry;
-unreadable entries are treated as misses and overwritten.
+writers (pool workers, parallel benches) can never leave a torn entry.
+Each file holds the envelope ``(CACHE_SCHEMA_VERSION, key, value)``; a
+read trusts it only when the envelope, the embedded key and the value's
+type all check out.  Anything else -- a torn or foreign pickle, an entry
+copied under another fingerprint, a value of the wrong type -- counts as
+``exec.cache.corrupt`` and is a miss: the value is recomputed and
+overwritten, never returned.
 """
 
 from __future__ import annotations
@@ -29,9 +34,12 @@ from typing import Any, Optional, Tuple
 from repro.obs.logging_setup import get_logger
 from repro.obs.registry import MetricsRegistry, get_registry
 
-__all__ = ["MPCache"]
+__all__ = ["MPCache", "CACHE_SCHEMA_VERSION"]
 
 logger = get_logger(__name__)
+
+#: Version of the on-disk envelope; bump when its layout changes.
+CACHE_SCHEMA_VERSION = 1
 
 
 class MPCache:
@@ -81,39 +89,59 @@ class MPCache:
 
     # ------------------------------------------------------------------ #
 
-    def get(self, key: str) -> Tuple[bool, Any]:
-        """``(hit, value)`` for ``key``; counts the outcome in metrics."""
+    def get(self, key: str, value_type: type = object) -> Tuple[bool, Any]:
+        """``(hit, value)`` for ``key``; counts the outcome in metrics.
+
+        A disk entry is a hit only if it is a valid envelope for ``key``
+        holding an instance of ``value_type``.
+        """
         if key in self._memory:
             self.registry.inc("exec.cache.hits")
             return True, self._memory[key]
         if self._dir is not None:
-            path = self._path(key)
-            try:
-                with open(path, "rb") as handle:
-                    value = pickle.load(handle)
-            except FileNotFoundError:
-                pass  # never persisted: an ordinary miss
-            except (OSError, pickle.UnpicklingError, EOFError, AttributeError):
-                # The entry exists but cannot be read back: disk rot, a
-                # torn write from a crashed process, or a stale pickle
-                # from an incompatible version.  Still a miss (the value
-                # is recomputed and overwritten), but one worth seeing.
-                self.registry.inc("exec.cache.corrupt")
-                if not self._warned_corrupt:
-                    self._warned_corrupt = True
-                    logger.warning(
-                        "cache_dir=%s entry=%s unreadable; treating as a "
-                        "miss (further corrupt entries counted in "
-                        "exec.cache.corrupt without logging)",
-                        self._dir,
-                        path.name,
-                    )
-            else:
+            found, value = self._read(key, value_type)
+            if found:
                 self._memory[key] = value
                 self.registry.inc("exec.cache.hits")
                 self.registry.inc("exec.cache.disk_hits")
                 return True, value
         self.registry.inc("exec.cache.misses")
+        return False, None
+
+    def _read(self, key: str, value_type: type) -> Tuple[bool, Any]:
+        path = self._path(key)
+        try:
+            with open(path, "rb") as handle:
+                payload = pickle.load(handle)
+        except FileNotFoundError:
+            return False, None  # never persisted: an ordinary miss
+        except Exception:  # noqa: BLE001 - a damaged pickle can raise anything
+            payload = None
+        valid = (
+            type(payload) is tuple
+            and len(payload) == 3
+            and type(payload[0]) is int
+            and payload[0] == CACHE_SCHEMA_VERSION
+            and type(payload[1]) is str
+            and payload[1] == key
+            and isinstance(payload[2], value_type)
+        )
+        if valid:
+            return True, payload[2]
+        # The entry exists but cannot be trusted: disk rot, a torn write
+        # from a crashed process, a stale pickle from an incompatible
+        # version, or a file copied under the wrong name.  Still a miss
+        # (the value is recomputed and overwritten), but one worth seeing.
+        self.registry.inc("exec.cache.corrupt")
+        if not self._warned_corrupt:
+            self._warned_corrupt = True
+            logger.warning(
+                "cache_dir=%s entry=%s unreadable; treating as a miss "
+                "(further corrupt entries counted in exec.cache.corrupt "
+                "without logging)",
+                self._dir,
+                path.name,
+            )
         return False, None
 
     def put(self, key: str, value: Any) -> None:
@@ -126,7 +154,11 @@ class MPCache:
         tmp = path.with_suffix(f".tmp.{os.getpid()}")
         try:
             with open(tmp, "wb") as handle:
-                pickle.dump(value, handle, protocol=pickle.HIGHEST_PROTOCOL)
+                pickle.dump(
+                    (CACHE_SCHEMA_VERSION, key, value),
+                    handle,
+                    protocol=pickle.HIGHEST_PROTOCOL,
+                )
             os.replace(tmp, path)
         except OSError:
             # Persistence is best-effort; the in-memory entry stands.

@@ -227,7 +227,7 @@ class ParallelEvaluator:
         for i, task in enumerate(tasks):
             if self.cache is not None:
                 keys[i] = task.fingerprint
-                hit, value = self.cache.get(keys[i])
+                hit, value = self.cache.get(keys[i], task.result_type)
                 if hit:
                     results[i] = value
                     continue

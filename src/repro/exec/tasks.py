@@ -25,13 +25,14 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Sequence, Tuple
+from typing import Callable, ClassVar, Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.attacks.time_models import TimeModel
 from repro.errors import ValidationError
 from repro.exec.hashing import derive_seed, stable_fingerprint
+from repro.marketplace.mp import MPResult
 
 __all__ = [
     "EvalTask",
@@ -68,7 +69,8 @@ def hermetic_schemes(enabled: bool = True) -> Iterator[None]:
     The execution engine wraps each captured task in this when
     ``hermetic_telemetry`` is on, so a sweep's merged metrics are
     bit-identical at any worker count -- at the cost of giving up
-    cross-task report-cache amortization inside each process.
+    cross-task amortization of the P-scheme's report cache and the
+    challenge's fair baseline inside each process.
     """
     global _HERMETIC
     previous = _HERMETIC
@@ -133,10 +135,11 @@ def get_shared_scheme(scope: tuple, scheme_name: str):
     """A per-process scheme instance for ``scheme_name`` within ``scope``.
 
     Sharing one instance per process lets the P-scheme's content-keyed
-    report caches amortize across the tasks of one sweep, exactly as the
-    serial loop shares the context's instance.  Results never depend on
-    the cache state (the caches are pure memoization), so this cannot
-    break serial/parallel bit-identity.
+    report cache and the challenge's per-scheme fair baseline amortize
+    across the tasks of one sweep, exactly as the serial loop shares the
+    context's instance.  Results never depend on the cache state (the
+    caches are pure memoization), so this cannot break serial/parallel
+    bit-identity.
     """
     factory = _scheme_factory(scheme_name)
     if _HERMETIC:
@@ -174,6 +177,10 @@ class EvalTask:
     which is the cache key and the basis for derived RNG seeds.
     """
 
+    #: Type of every :meth:`run` result; the MP cache rejects a disk entry
+    #: holding anything else.
+    result_type: ClassVar[type] = object
+
     @property
     def fingerprint(self) -> str:
         """Stable content hash of this task (class + all fields)."""
@@ -192,6 +199,8 @@ class PopulationEvalTask(EvalTask):
     registry) from ``(root_seed, population_size)``, so the result is a
     pure function of the fields -- identical in every process.
     """
+
+    result_type: ClassVar[type] = MPResult
 
     root_seed: int
     population_size: int
@@ -226,6 +235,8 @@ class RegionProbeTask(EvalTask):
     trial: int
     seed_root: int
     randomize_timing: bool = True
+
+    result_type: ClassVar[type] = float
 
     def run(self) -> float:
         from repro.attacks.generator import AttackGenerator
@@ -265,6 +276,8 @@ class LandscapeProbeTask(EvalTask):
     time_model: TimeModel  # a frozen dataclass (UniformWindow et al.)
     targets: Tuple  # of ProductTarget
     seed_root: int
+
+    result_type: ClassVar[type] = float
 
     def run(self) -> float:
         from repro.attacks.generator import AttackGenerator, AttackSpec
@@ -309,6 +322,12 @@ class SensitivityTask(EvalTask):
     attack_ratings: int
     attack_duration: float
     seed: int
+
+    @property
+    def result_type(self) -> type:
+        from repro.experiments.sensitivity import OperatingPoint
+
+        return OperatingPoint
 
     def run(self):
         from repro.experiments.sensitivity import measure_operating_point

@@ -12,12 +12,20 @@ Rules reproduced here:
   others;
 - submissions are scored by the MP metric (30-day periods, top two
   monthly deviations per product) under a chosen aggregation scheme.
+
+Every submission is compared against the same fair world, so the challenge
+owns that invariant: :meth:`RatingChallenge.fair_baseline` scores the fair
+world once per scheme instance and :meth:`RatingChallenge.evaluate` hands
+the result to the MP metric instead of rescoring it per submission.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.attacks.base import AttackSubmission
 from repro.errors import ChallengeRuleError, ValidationError
@@ -122,6 +130,19 @@ class RatingChallenge:
         self.seed: Optional[int] = int(seed) if reconstructible else None
         self._biased_ids = set(self.config.biased_rater_ids())
         self._product_ids = {p.product_id for p in self.products}
+        # scheme -> (fair_dataset, grid stamp, scores); weak keys, so a
+        # discarded scheme instance drops its entry.
+        self._fair_scores: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+    def __getstate__(self) -> dict:
+        # The memo is weak-keyed and process-local: never pickled.
+        state = self.__dict__.copy()
+        del state["_fair_scores"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._fair_scores = weakref.WeakKeyDictionary()
 
     # ------------------------------------------------------------------ #
     # Time span
@@ -191,6 +212,39 @@ class RatingChallenge:
         """Fair data with the submission's unfair ratings merged in."""
         return self.fair_dataset.merge(submission.as_dict())
 
+    def fair_baseline(self, scheme) -> Dict[str, np.ndarray]:
+        """``scheme``'s monthly scores of the fair world (read-only arrays).
+
+        Computed once per scheme instance and reused while the scheme's
+        ``config`` compares equal, :attr:`fair_dataset` is the same object
+        and the month grid is unchanged; any of those changing recomputes
+        it.  Schemes that cannot be weakly referenced are rescored on
+        every call.
+        """
+        stamp = (
+            getattr(scheme, "config", None),
+            self.config.period_days,
+            self.start_day,
+            self.end_day,
+        )
+        try:
+            entry = self._fair_scores.get(scheme)
+        except TypeError:  # not weakly referenceable or not hashable
+            return self._score_fair(scheme)
+        if entry is not None and entry[0] is self.fair_dataset and entry[1] == stamp:
+            return entry[2]
+        scores = self._score_fair(scheme)
+        self._fair_scores[scheme] = (self.fair_dataset, stamp, scores)
+        return scores
+
+    def _score_fair(self, scheme) -> Dict[str, np.ndarray]:
+        scores = scheme.monthly_scores(
+            self.fair_dataset, self.config.period_days, self.start_day, self.end_day
+        )
+        for series in scores.values():
+            series.setflags(write=False)
+        return scores
+
     def evaluate(
         self, submission: AttackSubmission, scheme, validate: bool = True
     ) -> MPResult:
@@ -204,6 +258,7 @@ class RatingChallenge:
             period_days=self.config.period_days,
             start_day=self.start_day,
             end_day=self.end_day,
+            fair_scores=self.fair_baseline(scheme),
         )
 
     def replay_online(

@@ -14,6 +14,11 @@ The metric is parametric in the *aggregation scheme*: any object with a
 ``monthly_scores(dataset, period_days, start_day, end_day)`` method that
 returns ``{product_id: array of per-month scores}`` (NaN for months with
 no published score).  All schemes in :mod:`repro.aggregation` satisfy it.
+
+The fair world's scores are the same for every submission scored under
+one scheme, so callers that score many submissions pass them in as
+``fair_scores``; :meth:`~repro.marketplace.challenge.RatingChallenge.
+evaluate` computes them once per scheme instance.
 """
 
 from __future__ import annotations
@@ -99,11 +104,14 @@ def monthly_deltas(
     period_days: float = 30.0,
     start_day: Optional[float] = None,
     end_day: Optional[float] = None,
+    fair_scores: Optional[Dict[str, np.ndarray]] = None,
 ) -> Dict[str, np.ndarray]:
     """Per-product per-month score deviations caused by the attack.
 
     ``start_day`` / ``end_day`` default to the fair dataset's overall time
-    span, so the attack cannot shift the month grid.
+    span, so the attack cannot shift the month grid.  ``fair_scores``, when
+    given, must be ``scheme``'s monthly scores of ``fair`` on that grid; it
+    replaces rescoring the fair world.
     """
     if start_day is None or end_day is None:
         spans = [s.time_span() for s in fair.streams() if len(s)]
@@ -114,7 +122,8 @@ def monthly_deltas(
         start_day = inferred_start if start_day is None else start_day
         end_day = inferred_end if end_day is None else end_day
     attacked_scores = scheme.monthly_scores(attacked, period_days, start_day, end_day)
-    fair_scores = scheme.monthly_scores(fair, period_days, start_day, end_day)
+    if fair_scores is None:
+        fair_scores = scheme.monthly_scores(fair, period_days, start_day, end_day)
     deltas: Dict[str, np.ndarray] = {}
     for product_id in fair.product_ids:
         deltas[product_id] = _nan_to_zero_abs_diff(
@@ -130,9 +139,15 @@ def manipulation_power(
     period_days: float = 30.0,
     start_day: Optional[float] = None,
     end_day: Optional[float] = None,
+    fair_scores: Optional[Dict[str, np.ndarray]] = None,
 ) -> MPResult:
-    """Full MP evaluation of ``attacked`` against ``fair`` under ``scheme``."""
-    deltas = monthly_deltas(scheme, attacked, fair, period_days, start_day, end_day)
+    """Full MP evaluation of ``attacked`` against ``fair`` under ``scheme``.
+
+    ``fair_scores`` is passed through to :func:`monthly_deltas`.
+    """
+    deltas = monthly_deltas(
+        scheme, attacked, fair, period_days, start_day, end_day, fair_scores
+    )
     per_product: Dict[str, float] = {}
     for product_id, arr in deltas.items():
         if arr.size == 0:

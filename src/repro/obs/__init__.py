@@ -53,7 +53,7 @@ Quickstart::
     registry = MetricsRegistry()
     with use_registry(registry):
         scheme.monthly_scores(dataset)
-    print(registry.counter_value("pscheme.scores_cache.misses"))
+    print(registry.counter_value("pscheme.report_cache.misses"))
     write_json(registry, "metrics.json")
 """
 

@@ -68,7 +68,6 @@ DEFAULT_IGNORE_PREFIXES = (
     "ledger.",
     "trace.",
     "pscheme.report_cache.",
-    "pscheme.scores_cache.",
     "search.memo.",
     "profile.",
     "mem.",

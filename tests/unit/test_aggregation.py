@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.aggregation.base import dataset_fingerprint, month_windows
+from repro.aggregation.base import month_windows
 from repro.aggregation.beta_filter import BetaFilterConfig, BetaFilterScheme
 from repro.aggregation.pscheme import PScheme, PSchemeConfig
 from repro.aggregation.simple import SimpleAveragingScheme
 from repro.aggregation.weighted import trust_weighted_average
 from repro.errors import EmptyDataError, ValidationError
+from repro.obs.registry import MetricsRegistry
 from repro.types import RatingDataset, RatingStream
 
 
@@ -187,13 +188,62 @@ class TestPScheme:
         assert BetaFilterScheme().name == "BF"
 
 
-class TestDatasetFingerprint:
-    def test_identical_data_same_fingerprint(self):
-        assert dataset_fingerprint(constant_dataset()) == dataset_fingerprint(
-            constant_dataset()
-        )
+def noisy_stream(product_id="p", n=60, seed=0):
+    rng = np.random.default_rng(seed)
+    times = np.sort(rng.uniform(0.0, 90.0, n))
+    values = np.clip(np.round(rng.normal(4.0, 0.7, n) * 2.0) / 2.0, 0.0, 5.0)
+    return RatingStream(product_id, times, values, [f"u{i}" for i in range(n)])
 
-    def test_value_change_changes_fingerprint(self):
-        assert dataset_fingerprint(constant_dataset(4.0)) != dataset_fingerprint(
-            constant_dataset(3.9)
-        )
+
+class TestReportCacheKeys:
+    """The P-scheme's report cache matches streams by value, LRU-evicted."""
+
+    def counters(self, scheme):
+        return {
+            name: scheme.registry.counter_value(f"pscheme.report_cache.{name}")
+            for name in ("hits", "misses", "evictions")
+        }
+
+    def test_equal_content_in_a_new_object_hits(self):
+        scheme = PScheme(registry=MetricsRegistry())
+        stream = noisy_stream()
+        scheme.detect(RatingDataset([stream]))
+        copy = RatingStream("p", stream.times.copy(), stream.values.copy(),
+                            list(stream.rater_ids))
+        scheme.detect(RatingDataset([copy]))
+        assert self.counters(scheme) == {"hits": 1, "misses": 1, "evictions": 0}
+
+    @pytest.mark.parametrize("change", ["value", "rater"])
+    def test_single_difference_misses(self, change):
+        scheme = PScheme(registry=MetricsRegistry())
+        stream = noisy_stream()
+        scheme.detect(RatingDataset([stream]))
+        values = stream.values.copy()
+        raters = list(stream.rater_ids)
+        if change == "value":
+            values[17] = 0.0 if values[17] else 5.0
+        else:
+            raters[17] = "intruder"
+        changed = RatingStream("p", stream.times, values, raters)
+        marks = scheme.detect(RatingDataset([changed]))
+        assert self.counters(scheme)["misses"] == 2
+        fresh = PScheme(registry=MetricsRegistry()).detect(RatingDataset([changed]))
+        assert np.array_equal(marks["p"], fresh["p"])
+
+    def test_fair_reports_survive_more_inserts_than_capacity(self):
+        reg = MetricsRegistry()
+        scheme = PScheme(registry=reg)
+        capacity = max(4 * scheme.config.cache_size, 64)
+        fair = noisy_stream("fair")
+        attacks = capacity + 16
+        for i in range(attacks):
+            attacked = noisy_stream("target", n=6, seed=i + 1)
+            scheme.detect(RatingDataset([fair, attacked]))
+        assert self.counters(scheme) == {
+            "hits": attacks - 1,
+            "misses": attacks + 1,
+            "evictions": attacks + 1 - capacity,
+        }
+        # Only the fair stream is long enough to reach the detectors: it
+        # ran through them once, on its first miss.
+        assert reg.counter_value("detector.joint.calls") == 1

@@ -1,8 +1,12 @@
 """Unit tests for the Rating Challenge rules and evaluation."""
 
+import gc
+import pickle
+
 import numpy as np
 import pytest
 
+from repro.aggregation.beta_filter import BetaFilterConfig, BetaFilterScheme
 from repro.aggregation.simple import SimpleAveragingScheme
 from repro.attacks.base import AttackSubmission, build_attack_stream
 from repro.errors import ChallengeRuleError, ValidationError
@@ -134,3 +138,126 @@ class TestEvaluation:
         base = RatingChallenge(seed=3)
         clone = RatingChallenge(fair_dataset=base.fair_dataset)
         assert clone.fair_dataset is base.fair_dataset
+
+
+class CountingBF(BetaFilterScheme):
+    """BF that records every dataset it scores."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.scored = []
+
+    def monthly_scores(self, dataset, *args, **kwargs):
+        self.scored.append(dataset)
+        return super().monthly_scores(dataset, *args, **kwargs)
+
+    def fair_calls(self, challenge):
+        return sum(dataset is challenge.fair_dataset for dataset in self.scored)
+
+
+class SlottedSA:
+    """A scheme that cannot be weakly referenced."""
+
+    __slots__ = ()
+    name = "SA"
+
+    def monthly_scores(self, dataset, period_days, start_day, end_day):
+        return SimpleAveragingScheme().monthly_scores(
+            dataset, period_days, start_day, end_day
+        )
+
+
+def submissions(challenge, count):
+    return [
+        make_submission(challenge, product_ids=(f"tv{1 + i % 3}",),
+                        values=np.full(10, float(i % 5)))
+        for i in range(count)
+    ]
+
+
+def assert_same_mp(got, expected):
+    assert got.total == expected.total
+    for product_id, deltas in expected.deltas.items():
+        assert np.array_equal(got.deltas[product_id], deltas)
+
+
+class TestFairBaselineMemo:
+    """The fair world is scored once per scheme instance, and only then."""
+
+    @pytest.fixture
+    def fresh(self, challenge):
+        return RatingChallenge(fair_dataset=challenge.fair_dataset)
+
+    def test_scored_once_per_instance(self, fresh):
+        scheme = CountingBF()
+        for submission in submissions(fresh, 5):
+            fresh.evaluate(submission, scheme)
+        assert scheme.fair_calls(fresh) == 1
+        assert len(scheme.scored) == 6
+
+    def test_baseline_arrays_are_read_only(self, fresh):
+        for series in fresh.fair_baseline(SimpleAveragingScheme()).values():
+            assert not series.flags.writeable
+            with pytest.raises(ValueError):
+                series[0] = 0.0
+
+    def test_replacing_config_recomputes(self, fresh):
+        scheme = CountingBF()
+        submission = make_submission(fresh)
+        fresh.evaluate(submission, scheme)
+        scheme.config = BetaFilterConfig()  # equal config: still valid
+        fresh.evaluate(submission, scheme)
+        assert scheme.fair_calls(fresh) == 1
+        scheme.config = BetaFilterConfig(quantile=0.3, exclude_trust_threshold=0.6)
+        got = fresh.evaluate(submission, scheme)
+        assert scheme.fair_calls(fresh) == 2
+        expected = RatingChallenge(fair_dataset=fresh.fair_dataset).evaluate(
+            submission, BetaFilterScheme(scheme.config)
+        )
+        assert_same_mp(got, expected)
+
+    def test_swapping_fair_dataset_recomputes(self, fresh):
+        scheme = CountingBF()
+        submission = make_submission(fresh)
+        fresh.evaluate(submission, scheme)
+        other = RatingChallenge(seed=78).fair_dataset
+        fresh.fair_dataset = other
+        got = fresh.evaluate(submission, scheme)
+        assert scheme.fair_calls(fresh) == 1  # once against the new world
+        assert sum(d is other for d in scheme.scored) == 1
+        assert len(scheme.scored) == 4
+        expected = RatingChallenge(fair_dataset=other).evaluate(
+            submission, BetaFilterScheme()
+        )
+        assert_same_mp(got, expected)
+
+    def test_collected_scheme_drops_its_entry(self, fresh):
+        scheme = SimpleAveragingScheme()
+        fresh.evaluate(make_submission(fresh), scheme)
+        assert len(fresh._fair_scores) == 1
+        del scheme
+        gc.collect()
+        assert len(fresh._fair_scores) == 0
+
+    def test_fresh_instances_do_not_grow_the_memo(self, fresh):
+        submission = make_submission(fresh)
+        for _ in range(10):
+            fresh.evaluate(submission, SimpleAveragingScheme())
+            assert len(fresh._fair_scores) <= 1
+        gc.collect()
+        assert len(fresh._fair_scores) == 0
+
+    def test_pickled_challenge_drops_memo_and_scores_alike(self, fresh):
+        scheme = SimpleAveragingScheme()
+        submission = make_submission(fresh)
+        expected = fresh.evaluate(submission, scheme)
+        clone = pickle.loads(pickle.dumps(fresh))
+        assert len(clone._fair_scores) == 0
+        assert_same_mp(clone.evaluate(submission, scheme), expected)
+        assert len(clone._fair_scores) == 1
+
+    def test_unreferenceable_scheme_is_rescored(self, fresh):
+        submission = make_submission(fresh)
+        got = fresh.evaluate(submission, SlottedSA())
+        assert len(fresh._fair_scores) == 0
+        assert_same_mp(got, fresh.evaluate(submission, SimpleAveragingScheme()))

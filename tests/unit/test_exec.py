@@ -19,6 +19,7 @@ from repro.exec import (
     share_challenge,
     stable_fingerprint,
 )
+from repro.exec.cache import CACHE_SCHEMA_VERSION
 from repro.marketplace.challenge import RatingChallenge
 from repro.obs.registry import MetricsRegistry
 
@@ -184,6 +185,64 @@ class TestMPCache:
         assert reg.counter_value("exec.cache.corrupt") == 0
         assert reg.counter_value("exec.cache.misses") == 1
 
+    def test_entry_is_a_keyed_envelope(self, tmp_path):
+        MPCache(cache_dir=tmp_path, registry=MetricsRegistry()).put("a", 2.5)
+        with open(tmp_path / "a.pkl", "rb") as handle:
+            assert pickle.load(handle) == (CACHE_SCHEMA_VERSION, "a", 2.5)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            2.5,  # a bare value: not an envelope
+            (CACHE_SCHEMA_VERSION, "a"),  # truncated envelope
+            (CACHE_SCHEMA_VERSION + 1, "a", 2.5),  # other schema version
+            (CACHE_SCHEMA_VERSION, "a", "2.5"),  # value of the wrong type
+            (np.arange(2), "a", 2.5),  # version that is not an int
+        ],
+    )
+    def test_invalid_envelope_is_recomputed(self, tmp_path, payload):
+        reg = MetricsRegistry()
+        with open(tmp_path / "a.pkl", "wb") as handle:
+            pickle.dump(payload, handle)
+        cache = MPCache(cache_dir=tmp_path, registry=reg)
+        assert cache.get("a", float) == (False, None)
+        assert reg.counter_value("exec.cache.corrupt") == 1
+        assert reg.counter_value("exec.cache.misses") == 1
+
+    def test_wrong_value_type_task_is_recomputed(self, tmp_path):
+        task = _SquareTask(3)
+        with open(tmp_path / f"{task.fingerprint}.pkl", "wb") as handle:
+            pickle.dump((CACHE_SCHEMA_VERSION, task.fingerprint, "81"), handle)
+        reg = MetricsRegistry()
+        evaluator = ParallelEvaluator(
+            workers=0, cache=MPCache(cache_dir=tmp_path, registry=reg), registry=reg
+        )
+        assert evaluator.map([task]) == [9]
+        assert reg.counter_value("exec.cache.corrupt") == 1
+
+    def test_entry_copied_under_another_fingerprint_is_recomputed(self, tmp_path):
+        stored, other = _SquareTask(4), _SquareTask(5)
+        seed = ParallelEvaluator(
+            workers=0,
+            cache=MPCache(cache_dir=tmp_path, registry=MetricsRegistry()),
+            registry=MetricsRegistry(),
+        )
+        assert seed.map([stored]) == [16]
+        (tmp_path / f"{other.fingerprint}.pkl").write_bytes(
+            (tmp_path / f"{stored.fingerprint}.pkl").read_bytes()
+        )
+        _CALLS.clear()
+        reg = MetricsRegistry()
+        evaluator = ParallelEvaluator(
+            workers=0, cache=MPCache(cache_dir=tmp_path, registry=reg), registry=reg
+        )
+        assert evaluator.map([other]) == [25]
+        assert _CALLS == [5]
+        assert reg.counter_value("exec.cache.corrupt") == 1
+        # The recomputed value replaced the foreign entry on disk.
+        fresh = MPCache(cache_dir=tmp_path, registry=MetricsRegistry())
+        assert fresh.get(other.fingerprint, int) == (True, 25)
+
     def test_atomic_write_leaves_no_temp_files(self, tmp_path):
         cache = MPCache(cache_dir=tmp_path, registry=MetricsRegistry())
         for i in range(5):
@@ -258,6 +317,8 @@ _CALLS = []
 
 @dataclasses.dataclass(frozen=True)
 class _SquareTask(EvalTask):
+    result_type = int
+
     value: int
 
     def run(self) -> int:

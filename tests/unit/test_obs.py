@@ -217,16 +217,6 @@ class TestLoggingSetup:
 
 
 class TestPSchemeTelemetry:
-    def test_scores_cache_hits_after_repeat_call(self):
-        reg = MetricsRegistry()
-        scheme = PScheme(registry=reg)
-        dataset = small_dataset()
-        first = scheme.monthly_scores(dataset)
-        second = scheme.monthly_scores(dataset)
-        assert reg.counter_value("pscheme.scores_cache.misses") == 1
-        assert reg.counter_value("pscheme.scores_cache.hits") >= 1
-        np.testing.assert_allclose(first["p"], second["p"])
-
     def test_report_cache_counters(self):
         reg = MetricsRegistry()
         scheme = PScheme(registry=reg)
