@@ -7,14 +7,16 @@ writes ``BENCH_detectors.json`` at the repo root:
 
 - per sub-detector (MC, H-ARC, L-ARC, HC, ME): call count plus p50/p90
   wall-clock seconds from the ``detector.<kind>.seconds`` histograms;
-- aggregate ``analyze_batch`` wall time per population (the batching win,
-  distinct from the per-detector incremental win);
+- aggregate ``analyze_batch`` wall time per population (the whole
+  joint-detection cost per attacked dataset, including the Path 1/Path 2
+  integration that the per-kind histograms leave out);
 - the top self-time frames the profiler attributed to detector spans;
 - the overall sample attribution fraction and sampling rate.
 
-Detection runs through :meth:`JointDetector.analyze_batch` -- the
-production path since the batched fast-path rewrite -- so the per-kind
-percentiles reflect what serial, parallel, and online runs actually pay.
+Detection runs through :meth:`JointDetector.analyze_batch`, the entry
+point every whole-dataset caller uses, so the per-kind percentiles
+(each covering curve building plus thresholding) reflect what serial,
+parallel, and online runs actually pay.
 
 The committed file pins the detector hot-path baseline: future PRs that
 touch the detectors re-run ``make bench-detectors`` and diff the per-kind

@@ -167,10 +167,9 @@ class PScheme(AggregationScheme):
         so a mutating caller would otherwise corrupt every later cache
         hit.  Copy before modifying.
 
-        Detection itself runs through the joint detector's batched fast
-        path: on the trust-free pass only the cache-missing streams are
-        re-bundled into a dataset and analyzed together, so a warm cache
-        pays one batched pass over the attacked products only.
+        On the trust-free pass only the cache-missing streams are
+        analyzed, so a warm cache pays detection for the attacked
+        products only.
         """
         registry = self.registry
         if trust_lookup is not None:

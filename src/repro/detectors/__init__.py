@@ -8,10 +8,9 @@
 - :mod:`repro.detectors.histogram` -- HC detector (Section IV-D).
 - :mod:`repro.detectors.model_error` -- ME detector (Section IV-E).
 - :mod:`repro.detectors.integration` -- the Figure 1 joint detector
-  (Path 1 for strong attacks, Path 2 for alarm-confirmed intervals),
-  including the batched ``analyze_batch`` fast path.
-- :mod:`repro.detectors.columns` -- columnar (struct-of-arrays) dataset
-  extraction feeding the batch path.
+  (Path 1 for strong attacks, Path 2 for alarm-confirmed intervals).
+  It analyzes each product stream on its own; ``analyze_batch`` maps
+  that over a dataset.
 """
 
 from repro.detectors.arrival_rate import ArrivalRateDetector, ArrivalRateReport
@@ -27,7 +26,6 @@ from repro.detectors.calibration import (
     NullStatistics,
     calibrate_thresholds,
 )
-from repro.detectors.columns import StreamColumns, extract_columns
 from repro.detectors.histogram import HistogramChangeDetector
 from repro.detectors.integration import JointDetector
 from repro.detectors.mean_change import MeanChangeDetector, MeanChangeReport
@@ -44,8 +42,6 @@ __all__ = [
     "TimeInterval",
     "PROVENANCE_FLAGS",
     "provenance_labels",
-    "StreamColumns",
-    "extract_columns",
     "HistogramChangeDetector",
     "JointDetector",
     "MeanChangeDetector",

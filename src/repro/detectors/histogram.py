@@ -66,13 +66,9 @@ class HistogramChangeDetector:
             stream.times, stream.values, self.config.hc_window_ratings
         )
 
-    def report_from_curve(self, curve: Curve) -> HistogramChangeReport:
-        """Build the HC report from an already-computed curve.
-
-        This is the thresholding/interval half of :meth:`analyze`; the
-        joint detector's batch path precomputes HC curves for a whole
-        dataset in one clustering pass and feeds them through here.
-        """
+    def analyze(self, stream: RatingStream) -> HistogramChangeReport:
+        """Full HC analysis of one stream."""
+        curve = self.curve(stream)
         if curve.is_empty:
             return HistogramChangeReport(curve=curve, suspicious_intervals=())
         mask = curve.values > self.config.hc_suspicious_threshold
@@ -80,7 +76,3 @@ class HistogramChangeDetector:
         return HistogramChangeReport(
             curve=curve, suspicious_intervals=tuple(intervals)
         )
-
-    def analyze(self, stream: RatingStream) -> HistogramChangeReport:
-        """Full HC analysis of one stream."""
-        return self.report_from_curve(self.curve(stream))

@@ -43,7 +43,6 @@ from time import perf_counter
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.detectors.arrival_rate import ArrivalRateDetector, ArrivalRateReport
 from repro.detectors.base import (
@@ -58,24 +57,15 @@ from repro.detectors.base import (
     DetectorConfig,
     TimeInterval,
 )
-from repro.detectors.columns import StreamColumns, extract_columns
-from repro.detectors.histogram import HistogramChangeDetector
+from repro.detectors.histogram import (
+    HistogramChangeDetector,
+    HistogramChangeReport,
+)
 from repro.detectors.mean_change import MeanChangeDetector, MeanChangeReport
-from repro.detectors.model_error import ModelErrorDetector
+from repro.detectors.model_error import ModelErrorDetector, ModelErrorReport
 from repro.obs import get_logger
 from repro.obs.registry import MetricsRegistry, get_registry
 from repro.obs.spans import span
-from repro.signal.ar import (
-    normalized_errors_from_operands,
-    sliding_ar_normalized_errors,
-    sliding_ar_operands,
-)
-from repro.signal.curves import (
-    Curve,
-    histogram_change_curve_from_stats,
-    model_error_curve_from_errors,
-)
-from repro.signal.rolling import sliding_vars, two_cluster_balance
 from repro.types import RatingStream
 
 __all__ = ["JointDetector"]
@@ -184,28 +174,23 @@ class JointDetector:
         stream: RatingStream,
         harc_report: ArrivalRateReport,
         larc_report: ArrivalRateReport,
-        me_intervals: List[TimeInterval],
-        hc_intervals: List[TimeInterval],
+        me_report: ModelErrorReport,
+        hc_report: HistogramChangeReport,
         high_mask: np.ndarray,
         low_mask: np.ndarray,
         mask: np.ndarray,
         provenance: np.ndarray,
     ) -> List[TimeInterval]:
-        """Path 2: ARC alarm confirmed by the ME or HC detector."""
+        """Path 2: an H-ARC (L-ARC) alarm confirmed by the ME (HC) detector."""
         fired: List[TimeInterval] = []
-        if harc_report.alarm:
-            for interval in me_intervals:
-                self._mark(
-                    mask, provenance, stream, interval, high_mask,
-                    PROV_PATH2 | PROV_H_ARC | PROV_ME,
-                )
-                fired.append(interval)
-        if larc_report.alarm:
-            for interval in hc_intervals:
-                self._mark(
-                    mask, provenance, stream, interval, low_mask,
-                    PROV_PATH2 | PROV_L_ARC | PROV_HC,
-                )
+        for arc_report, confirming, value_mask, flags in (
+            (harc_report, me_report, high_mask, PROV_PATH2 | PROV_H_ARC | PROV_ME),
+            (larc_report, hc_report, low_mask, PROV_PATH2 | PROV_L_ARC | PROV_HC),
+        ):
+            if not arc_report.alarm:
+                continue
+            for interval in confirming.suspicious_intervals:
+                self._mark(mask, provenance, stream, interval, value_mask, flags)
                 fired.append(interval)
         return fired
 
@@ -233,7 +218,6 @@ class JointDetector:
         self,
         stream: RatingStream,
         trust_lookup: Optional[TrustLookup] = None,
-        precomputed: Optional[Dict[str, Curve]] = None,
     ) -> DetectionReport:
         """Run both detection paths over one product stream.
 
@@ -241,11 +225,10 @@ class JointDetector:
         trust-moderated MC segment rule; omit it on the first pass, before
         any trust has been established.
 
-        ``precomputed`` optionally carries indicator curves (keyed by
-        detector kind) that :meth:`analyze_batch` already built in its
-        cross-stream pass; the matching sub-detectors then only threshold
-        the curve instead of recomputing it.  Detection output is
-        bit-identical either way.
+        The five sub-detectors each run under their own
+        ``detector.<kind>`` span; the integration work that follows (value
+        thresholds, Path 1/Path 2 marking, the ``quality.*`` join) runs
+        under the sibling ``detector.joint`` span.
         """
         n = len(stream)
         if n < self.config.min_ratings:
@@ -254,229 +237,78 @@ class JointDetector:
                 product_id=stream.product_id,
                 suspicious=np.zeros(n, dtype=bool),
             )
-        mean_value = float(stream.values.mean())
-        threshold_a = self.config.high_value_threshold(mean_value)
-        threshold_b = self.config.low_value_threshold(mean_value)
-        high_mask = stream.values > threshold_a
-        low_mask = stream.values < threshold_b
-
-        precomputed = precomputed or {}
         mc_report = self._timed("MC", self.mean_change.analyze, stream, trust_lookup)
         harc_report = self._timed("H-ARC", self.h_arc.analyze, stream)
         larc_report = self._timed("L-ARC", self.l_arc.analyze, stream)
-        if "HC" in precomputed:
-            hc_report = self._timed(
-                "HC", self.histogram.report_from_curve, precomputed["HC"]
-            )
-        else:
-            hc_report = self._timed("HC", self.histogram.analyze, stream)
-        if "ME" in precomputed:
-            me_report = self._timed(
-                "ME", self.model_error.report_from_curve, precomputed["ME"]
-            )
-        else:
-            me_report = self._timed("ME", self.model_error.analyze, stream)
+        hc_report = self._timed("HC", self.histogram.analyze, stream)
+        me_report = self._timed("ME", self.model_error.analyze, stream)
 
-        mask = np.zeros(n, dtype=bool)
-        provenance = np.zeros(n, dtype=np.uint8)
-        path1: List[TimeInterval] = []
-        path2: List[TimeInterval] = []
-        if self.config.enable_path1:
-            path1 = self._path1(
-                stream, mc_report, harc_report, larc_report,
-                high_mask, low_mask, mask, provenance,
-            )
-        if self.config.enable_path2:
-            path2 = self._path2(
-                stream,
-                harc_report,
-                larc_report,
-                list(me_report.suspicious_intervals),
-                list(hc_report.suspicious_intervals),
-                high_mask,
-                low_mask,
-                mask,
-                provenance,
-            )
         registry = self.registry
-        registry.inc("detector.joint.calls")
-        if mask.any():
-            registry.inc("detector.joint.marked_ratings", int(mask.sum()))
-            logger.debug(
-                "product=%s marked=%d path1_intervals=%d path2_intervals=%d",
-                stream.product_id, int(mask.sum()), len(path1), len(path2),
+        with span("detector.joint", registry):
+            mean_value = float(stream.values.mean())
+            high_mask = stream.values > self.config.high_value_threshold(mean_value)
+            low_mask = stream.values < self.config.low_value_threshold(mean_value)
+            mask = np.zeros(n, dtype=bool)
+            provenance = np.zeros(n, dtype=np.uint8)
+            path1: List[TimeInterval] = []
+            path2: List[TimeInterval] = []
+            if self.config.enable_path1:
+                path1 = self._path1(
+                    stream, mc_report, harc_report, larc_report,
+                    high_mask, low_mask, mask, provenance,
+                )
+            if self.config.enable_path2:
+                path2 = self._path2(
+                    stream, harc_report, larc_report, me_report, hc_report,
+                    high_mask, low_mask, mask, provenance,
+                )
+            registry.inc("detector.joint.calls")
+            if mask.any():
+                registry.inc("detector.joint.marked_ratings", int(mask.sum()))
+                logger.debug(
+                    "product=%s marked=%d path1_intervals=%d path2_intervals=%d",
+                    stream.product_id, int(mask.sum()), len(path1), len(path2),
+                )
+            curves = {
+                "MC": mc_report.curve,
+                "H-ARC": harc_report.curve,
+                "L-ARC": larc_report.curve,
+                "HC": hc_report.curve,
+                "ME": me_report.curve,
+            }
+            report = DetectionReport(
+                product_id=stream.product_id,
+                suspicious=mask,
+                path1_intervals=tuple(path1),
+                path2_intervals=tuple(path2),
+                provenance=provenance,
+                curves=curves,
+                alarms={"H-ARC": harc_report.alarm, "L-ARC": larc_report.alarm},
             )
-        curves = {
-            "MC": mc_report.curve,
-            "H-ARC": harc_report.curve,
-            "L-ARC": larc_report.curve,
-            "HC": hc_report.curve,
-            "ME": me_report.curve,
-        }
-        report = DetectionReport(
-            product_id=stream.product_id,
-            suspicious=mask,
-            path1_intervals=tuple(path1),
-            path2_intervals=tuple(path2),
-            provenance=provenance,
-            curves=curves,
-            alarms={"H-ARC": harc_report.alarm, "L-ARC": larc_report.alarm},
-        )
-        if registry.enabled:
-            # Join the verdict against the stream's ground-truth unfair
-            # labels and fold the scorecard into the registry, so every
-            # detection pass contributes to the quality.* namespace.
-            # (Imported here: repro.obs.quality needs the provenance
-            # flags from this package, so a top-level import would be
-            # circular.)
-            from repro.obs.quality import emit_scorecard, score_detection
+            if registry.enabled:
+                # Join the verdict against the stream's ground-truth unfair
+                # labels and fold the scorecard into the registry, so every
+                # detection pass contributes to the quality.* namespace.
+                # (Imported here: repro.obs.quality needs the provenance
+                # flags from this package, so a top-level import would be
+                # circular.)
+                from repro.obs.quality import emit_scorecard, score_detection
 
-            emit_scorecard(score_detection(stream, report), registry)
+                emit_scorecard(score_detection(stream, report), registry)
         return report
-
-    # ------------------------------------------------------------------ #
-    # Batched cross-stream fast path
-    # ------------------------------------------------------------------ #
-
-    def _batch_hc_curves(
-        self, columns: StreamColumns, eligible: List[int]
-    ) -> Dict[str, Curve]:
-        """Precompute HC curves for every eligible stream in one pass.
-
-        All streams' sliding windows are stacked into a single matrix and
-        clustered with one :func:`two_cluster_balance` call -- each row is
-        independent, so the stacked results match the per-stream ones
-        bit-for-bit.
-        """
-        window = self.config.hc_window_ratings
-        lengths = columns.lengths
-        indices = [i for i in eligible if lengths[i] >= window]
-        if not indices:
-            return {}
-        stacks = [
-            sliding_window_view(columns.stream_values(i), window) for i in indices
-        ]
-        balances = two_cluster_balance(np.concatenate(stacks))
-        curves: Dict[str, Curve] = {}
-        cursor = 0
-        for i, stack in zip(indices, stacks):
-            count = stack.shape[0]
-            curves[columns.product_ids[i]] = histogram_change_curve_from_stats(
-                columns.stream_times(i), balances[cursor : cursor + count], window
-            )
-            cursor += count
-        return curves
-
-    def _batch_me_curves(
-        self, columns: StreamColumns, eligible: List[int], registry: MetricsRegistry
-    ) -> Dict[str, Curve]:
-        """Precompute ME curves for every eligible stream in one pass.
-
-        Every stream's AR design matrices and targets are concatenated and
-        the covariance normal equations are solved as one stacked LAPACK
-        batch.  A singular window anywhere in the batch falls back to the
-        per-stream solver (which handles singularity with the
-        pseudo-inverse), counted under ``detector.batch.fallbacks``.
-        """
-        window = self.config.me_window_ratings
-        order = self.config.ar_order
-        lengths = columns.lengths
-        indices = [i for i in eligible if lengths[i] >= window]
-        if not indices:
-            return {}
-        designs = []
-        targets = []
-        variances = []
-        counts = []
-        for i in indices:
-            values = columns.stream_values(i)
-            d, t = sliding_ar_operands(values, window, order)
-            designs.append(d)
-            targets.append(t)
-            variances.append(sliding_vars(values, window))
-            counts.append(d.shape[0])
-        try:
-            errors = normalized_errors_from_operands(
-                np.concatenate(designs),
-                np.concatenate(targets),
-                np.concatenate(variances),
-                order,
-            )
-            per_stream = np.split(errors, np.cumsum(counts)[:-1])
-        except np.linalg.LinAlgError:
-            registry.inc("detector.batch.fallbacks")
-            per_stream = [
-                sliding_ar_normalized_errors(columns.stream_values(i), window, order)
-                for i in indices
-            ]
-        return {
-            columns.product_ids[i]: model_error_curve_from_errors(
-                columns.stream_times(i), stream_errors, window
-            )
-            for i, stream_errors in zip(indices, per_stream)
-        }
 
     def analyze_batch(
         self,
         dataset,
         trust_lookup: Optional[TrustLookup] = None,
     ) -> Dict[str, DetectionReport]:
-        """Run detection over every product of a dataset, batched.
+        """Run :meth:`analyze` over every product stream of ``dataset``.
 
-        The dataset is first flattened into contiguous columnar arrays
-        (:func:`~repro.detectors.columns.extract_columns`); the HC and ME
-        indicator curves -- the two detectors that dominated the serial
-        profile -- are then precomputed for *all* streams in single
-        stacked numpy/LAPACK passes under the ``detector.batch`` span.
-        The per-stream :meth:`analyze` calls that follow consume the
-        precomputed curves, so every report (masks, provenance, curves,
-        ``quality.*`` scorecards) is bit-identical to the per-stream path
-        while the window-statistic work runs once per dataset instead of
-        once per product.
-
-        Batch telemetry: ``detector.batch.calls`` / ``.streams`` /
-        ``.ratings`` counters, the ``detector.batch.seconds`` histogram
-        for the precompute wall time, and ``detector.batch.fallbacks``
-        when a singular AR batch drops to the per-stream solver.
+        Returns ``{product_id: DetectionReport}`` in dataset order.  Each
+        stream is analyzed on its own, as in the paper (Section IV,
+        Figure 1); verdicts are joined per product by the caller.
         """
-        registry = self.registry
-        with span("detector.batch", registry):
-            start = perf_counter()
-            columns = extract_columns(dataset)
-            eligible = [
-                i
-                for i, length in enumerate(columns.lengths)
-                if length >= self.config.min_ratings
-            ]
-            precomputed: Dict[str, Dict[str, Curve]] = {}
-            for product_id, curve in self._batch_hc_curves(
-                columns, eligible
-            ).items():
-                precomputed.setdefault(product_id, {})["HC"] = curve
-            for product_id, curve in self._batch_me_curves(
-                columns, eligible, registry
-            ).items():
-                precomputed.setdefault(product_id, {})["ME"] = curve
-            elapsed = perf_counter() - start
-        registry.observe("detector.batch.seconds", elapsed)
-        registry.inc("detector.batch.calls")
-        registry.inc("detector.batch.streams", columns.num_streams)
-        registry.inc("detector.batch.ratings", columns.total_ratings)
         return {
-            product_id: self.analyze(
-                dataset[product_id], trust_lookup, precomputed.get(product_id)
-            )
+            product_id: self.analyze(dataset[product_id], trust_lookup)
             for product_id in dataset
         }
-
-    def analyze_dataset(
-        self,
-        dataset,
-        trust_lookup: Optional[TrustLookup] = None,
-    ) -> Dict[str, DetectionReport]:
-        """Run detection over every product in a dataset.
-
-        Delegates to :meth:`analyze_batch`; kept as the stable name used
-        throughout the experiment and marketplace layers.
-        """
-        return self.analyze_batch(dataset, trust_lookup)

@@ -54,19 +54,11 @@ class ModelErrorDetector:
             order=self.config.ar_order,
         )
 
-    def report_from_curve(self, curve: Curve) -> ModelErrorReport:
-        """Build the ME report from an already-computed curve.
-
-        The joint detector's batch path solves every stream's AR normal
-        equations in one stacked pass and feeds the resulting curves
-        through here, skipping the per-stream fit entirely.
-        """
+    def analyze(self, stream: RatingStream) -> ModelErrorReport:
+        """Full ME analysis of one stream."""
+        curve = self.curve(stream)
         if curve.is_empty:
             return ModelErrorReport(curve=curve, suspicious_intervals=())
         mask = curve.values < self.config.me_suspicious_threshold
         intervals = _mask_to_intervals(curve.times, mask)
         return ModelErrorReport(curve=curve, suspicious_intervals=tuple(intervals))
-
-    def analyze(self, stream: RatingStream) -> ModelErrorReport:
-        """Full ME analysis of one stream."""
-        return self.report_from_curve(self.curve(stream))

@@ -32,6 +32,7 @@ from repro.errors import ChallengeRuleError, ValidationError
 from repro.marketplace.fair_ratings import FairRatingConfig, FairRatingGenerator
 from repro.marketplace.mp import MPResult, manipulation_power
 from repro.marketplace.product import Product, default_tv_lineup
+from repro.obs.spans import span
 from repro.types import DEFAULT_SCALE, RatingDataset, RatingScale, RatingStream
 from repro.utils.rng import SeedLike
 
@@ -210,7 +211,8 @@ class RatingChallenge:
 
     def attacked_dataset(self, submission: AttackSubmission) -> RatingDataset:
         """Fair data with the submission's unfair ratings merged in."""
-        return self.fair_dataset.merge(submission.as_dict())
+        with span("challenge.attacked_dataset"):
+            return self.fair_dataset.merge(submission.as_dict())
 
     def fair_baseline(self, scheme) -> Dict[str, np.ndarray]:
         """``scheme``'s monthly scores of the fair world (read-only arrays).

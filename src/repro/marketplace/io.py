@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from pathlib import Path
 from typing import Dict, List, Union
 
@@ -66,19 +67,43 @@ def dataset_to_csv(dataset: RatingDataset) -> str:
     return buffer.getvalue()
 
 
-def dataset_from_csv(text: str) -> RatingDataset:
-    """Parse CSV text produced by :func:`dataset_to_csv` (or compatible)."""
-    reader = csv.reader(io.StringIO(text))
+def _single_line(value: str, where: str) -> str:
+    """An id must stay on one line, or the CSV writer cannot round-trip it."""
+    if "\r" in value or "\n" in value:
+        raise ValidationError(f"{where} {value!r} contains a line break")
+    return value
+
+
+def _finite(raw, where: str) -> float:
     try:
-        header = next(reader)
-    except StopIteration:
-        raise ValidationError("empty CSV: expected a header row") from None
-    if [h.strip() for h in header] != _CSV_HEADER:
+        number = float(raw)
+    except (ValueError, OverflowError):
+        number = math.nan
+    if not math.isfinite(number):
+        raise ValidationError(f"{where} must be a finite number, got {raw!r}")
+    return number
+
+
+def dataset_from_csv(text: str) -> RatingDataset:
+    """Parse CSV text produced by :func:`dataset_to_csv` (or compatible).
+
+    Malformed input raises :class:`ValidationError` naming the line and
+    field: a wrong header or field count, a non-numeric or non-finite
+    ``time``/``value``, an ``unfair`` flag other than ``0``/``1``, or an
+    id containing a line break.
+    """
+    try:
+        records = list(csv.reader(io.StringIO(text)))
+    except csv.Error as exc:
+        raise ValidationError(f"malformed CSV: {exc}") from None
+    if not records:
+        raise ValidationError("empty CSV: expected a header row")
+    if [h.strip() for h in records[0]] != _CSV_HEADER:
         raise ValidationError(
-            f"unexpected CSV header {header!r}; expected {_CSV_HEADER}"
+            f"unexpected CSV header {records[0]!r}; expected {_CSV_HEADER}"
         )
     rows: Dict[str, List] = {}
-    for line_no, row in enumerate(reader, start=2):
+    for line_no, row in enumerate(records[1:], start=2):
         if not row:
             continue
         if len(row) != 5:
@@ -86,17 +111,17 @@ def dataset_from_csv(text: str) -> RatingDataset:
                 f"CSV line {line_no}: expected 5 fields, got {len(row)}"
             )
         product_id, rater_id, time_s, value_s, unfair_s = row
-        try:
-            time = float(time_s)
-            value = float(value_s)
-            unfair = bool(int(unfair_s))
-        except ValueError as exc:
-            raise ValidationError(f"CSV line {line_no}: {exc}") from None
-        entry = rows.setdefault(product_id, [[], [], [], []])
-        entry[0].append(time)
-        entry[1].append(value)
-        entry[2].append(rater_id)
-        entry[3].append(unfair)
+        where = f"CSV line {line_no}:"
+        flag = unfair_s.strip()
+        if flag not in ("0", "1"):
+            raise ValidationError(f"{where} unfair must be 0 or 1, got {unfair_s!r}")
+        entry = rows.setdefault(
+            _single_line(product_id, f"{where} product_id"), [[], [], [], []]
+        )
+        entry[0].append(_finite(time_s, f"{where} time"))
+        entry[1].append(_finite(value_s, f"{where} value"))
+        entry[2].append(_single_line(rater_id, f"{where} rater_id"))
+        entry[3].append(flag == "1")
     streams = [
         RatingStream(product_id, times, values, raters, unfair)
         for product_id, (times, values, raters, unfair) in rows.items()
@@ -155,27 +180,60 @@ def _jsonable(value):
     return str(value)
 
 
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string"}
+
+
+def _expect(value, kind, where: str):
+    """``value`` if it has JSON type ``kind`` (``float`` for numbers)."""
+    if kind is float:
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            return _finite(value, where)
+        raise ValidationError(f"{where} must be a number, got {value!r}")
+    if not isinstance(value, kind):
+        raise ValidationError(
+            f"{where} must be {_JSON_TYPES[kind]}, got {type(value).__name__}"
+        )
+    return value
+
+
 def submission_from_json(text: str) -> AttackSubmission:
-    """Parse JSON text produced by :func:`submission_to_json`."""
+    """Parse JSON text produced by :func:`submission_to_json`.
+
+    Malformed input raises :class:`ValidationError` naming the field: a
+    missing key, a value of the wrong JSON type, or a non-finite
+    ``time``/``value``.
+    """
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError also covers integers longer than Python converts.
         raise ValidationError(f"invalid submission JSON: {exc}") from None
+    _expect(payload, dict, "submission JSON")
     for key in ("submission_id", "products"):
         if key not in payload:
             raise ValidationError(f"submission JSON missing {key!r}")
     streams = {}
-    for product_id, block in payload["products"].items():
-        ratings = block.get("ratings", [])
-        times = [r["time"] for r in ratings]
-        values = [r["value"] for r in ratings]
-        raters = [r["rater_id"] for r in ratings]
+    for product_id, block in _expect(payload["products"], dict, "products").items():
+        where = f"products[{product_id!r}]"
+        _single_line(product_id, where)
+        ratings = _expect(block, dict, where).get("ratings", [])
+        times, values, raters = [], [], []
+        for i, rating in enumerate(_expect(ratings, list, f"{where}.ratings")):
+            at = f"{where}.ratings[{i}]"
+            missing = {"rater_id", "time", "value"} - _expect(rating, dict, at).keys()
+            if missing:
+                raise ValidationError(f"{at} missing {sorted(missing)}")
+            raters.append(
+                _single_line(_expect(rating["rater_id"], str, f"{at}.rater_id"), at)
+            )
+            times.append(_expect(rating["time"], float, f"{at}.time"))
+            values.append(_expect(rating["value"], float, f"{at}.value"))
         streams[product_id] = build_attack_stream(product_id, times, values, raters)
     return AttackSubmission(
-        submission_id=payload["submission_id"],
+        submission_id=_expect(payload["submission_id"], str, "submission_id"),
         streams=streams,
-        strategy=payload.get("strategy", "unknown"),
-        params=payload.get("params", {}),
+        strategy=_expect(payload.get("strategy", "unknown"), str, "strategy"),
+        params=_expect(payload.get("params", {}), dict, "params"),
     )
 
 

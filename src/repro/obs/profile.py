@@ -256,7 +256,12 @@ class SpanProfiler:
             return
         stacks = span_stack_snapshot()
         current = sys._current_frames()
+        settled = span_stack_snapshot()
         try:
+            if self._stop_event.is_set():
+                # stop() is already waiting on this thread: the frames show
+                # the profiler's own teardown, not pipeline work.
+                return
             for tid, top in current.items():
                 if tid in _sampler_threads:
                     continue
@@ -264,6 +269,10 @@ class SpanProfiler:
                 if span_path is None:
                     # The thread never touched the span machinery (pool
                     # plumbing, logging, ...): not pipeline work.
+                    continue
+                if settled.get(tid) != span_path:
+                    # The thread entered or left a span while the stacks
+                    # were read, so its frames may belong to either side.
                     continue
                 labels: List[str] = []
                 frame = top

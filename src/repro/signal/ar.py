@@ -34,8 +34,6 @@ __all__ = [
     "ARFit",
     "fit_ar_covariance",
     "model_error",
-    "sliding_ar_operands",
-    "normalized_errors_from_operands",
     "sliding_ar_normalized_errors",
 ]
 
@@ -148,22 +146,17 @@ def model_error(x: np.ndarray, order: int = 4) -> float:
 # --------------------------------------------------------------------- #
 
 
-def sliding_ar_operands(x: np.ndarray, window: int, order: int):
+def _sliding_ar_operands(x: np.ndarray, window: int, order: int):
     """``(designs, targets)`` for every length-``window`` window of ``x``.
 
     ``designs`` is ``(K, window - order, order)`` with ``designs[s]``
     bit-equal to the contiguous design matrix ``fit_ar_covariance`` builds
     for ``x[s:s+window]``; ``targets[s]`` is the matching prediction
-    target ``x[s+order : s+window]``.  ``K = x.size - window + 1``.
+    target ``x[s+order : s+window]``.  ``K = x.size - window + 1``, at
+    least 1.
     """
-    x = np.asarray(x, dtype=float)
     rows = window - order
     num_windows = x.size - window + 1
-    if num_windows <= 0:
-        return (
-            np.empty((0, max(rows, 0), order), dtype=float),
-            np.empty((0, max(rows, 0)), dtype=float),
-        )
     lagged = np.lib.stride_tricks.sliding_window_view(x, order)[:, ::-1]
     designs = np.ascontiguousarray(
         np.lib.stride_tricks.sliding_window_view(lagged, (rows, order))[
@@ -176,7 +169,7 @@ def sliding_ar_operands(x: np.ndarray, window: int, order: int):
     return designs, targets
 
 
-def normalized_errors_from_operands(
+def _normalized_errors_from_operands(
     designs: np.ndarray,
     targets: np.ndarray,
     variances: np.ndarray,
@@ -186,7 +179,7 @@ def normalized_errors_from_operands(
 
     One batched gram / solve / residual pass over all windows; raises
     :class:`numpy.linalg.LinAlgError` when any window's normal equations
-    are singular (callers fall back to the per-window pinv path for that
+    are singular (the caller falls back to the per-window pinv path for that
     stream).  ``variances`` holds each window's value variance; windows
     with (near-)zero variance get error ``1.0``, matching
     :func:`fit_ar_covariance`.
@@ -226,10 +219,10 @@ def sliding_ar_normalized_errors(
     num_windows = x.size - window + 1
     if num_windows <= 0:
         return np.empty(0, dtype=float)
-    designs, targets = sliding_ar_operands(x, window, order)
+    designs, targets = _sliding_ar_operands(x, window, order)
     variances = np.lib.stride_tricks.sliding_window_view(x, window).var(axis=1)
     try:
-        return normalized_errors_from_operands(designs, targets, variances, order)
+        return _normalized_errors_from_operands(designs, targets, variances, order)
     except np.linalg.LinAlgError:
         return np.asarray(
             [

@@ -50,9 +50,7 @@ __all__ = [
     "mean_change_curve_by_time",
     "arrival_rate_curve",
     "histogram_change_curve",
-    "histogram_change_curve_from_stats",
     "model_error_curve",
-    "model_error_curve_from_errors",
 ]
 
 
@@ -240,26 +238,6 @@ def _full_window_centers(n: int, window: int) -> np.ndarray:
     return np.arange(0, n - window + 1) + window // 2
 
 
-def histogram_change_curve_from_stats(
-    times: np.ndarray, stats: np.ndarray, window_ratings: int
-) -> Curve:
-    """Assemble an HC :class:`Curve` from precomputed balance statistics.
-
-    ``stats[i]`` is the balance of the window starting at rating ``i``;
-    used by the per-stream builder below and by the joint detector's
-    cross-stream batch, which computes all streams' balances in one
-    clustering pass.
-    """
-    times = np.asarray(times, dtype=float)
-    centers = _full_window_centers(times.size, window_ratings)
-    return Curve(
-        kind="HC",
-        times=times[centers],
-        indices=centers,
-        values=np.asarray(stats, dtype=float),
-    )
-
-
 def histogram_change_curve(
     times: np.ndarray, values: np.ndarray, window_ratings: int
 ) -> Curve:
@@ -279,26 +257,12 @@ def histogram_change_curve(
     n = values.size
     if n < window_ratings:
         return _empty_curve("HC")
-    stats = two_cluster_balance(sliding_window_view(values, window_ratings))
-    return histogram_change_curve_from_stats(times, stats, window_ratings)
-
-
-def model_error_curve_from_errors(
-    times: np.ndarray, errors: np.ndarray, window_ratings: int
-) -> Curve:
-    """Assemble an ME :class:`Curve` from precomputed normalized errors.
-
-    ``errors[i]`` belongs to the window starting at rating ``i``; the
-    joint detector's cross-stream batch solves every stream's AR normal
-    equations in one pass and hands the per-stream error slices here.
-    """
-    times = np.asarray(times, dtype=float)
     centers = _full_window_centers(times.size, window_ratings)
     return Curve(
-        kind="ME",
+        kind="HC",
         times=times[centers],
         indices=centers,
-        values=np.asarray(errors, dtype=float),
+        values=two_cluster_balance(sliding_window_view(values, window_ratings)),
     )
 
 
@@ -320,5 +284,10 @@ def model_error_curve(
         )
     if values.size < window_ratings:
         return _empty_curve("ME")
-    errors = sliding_ar_normalized_errors(values, window_ratings, order)
-    return model_error_curve_from_errors(times, errors, window_ratings)
+    centers = _full_window_centers(times.size, window_ratings)
+    return Curve(
+        kind="ME",
+        times=times[centers],
+        indices=centers,
+        values=sliding_ar_normalized_errors(values, window_ratings, order),
+    )

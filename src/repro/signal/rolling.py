@@ -17,10 +17,9 @@ reduction, so a prefix-sum mean differs from ``window.mean()`` in the
 last ulp.  Instead every kernel evaluates each window with the **same
 reduction algorithm** the naive loop used, batched across windows:
 
-- ``sliding_means`` / ``sliding_vars`` reduce the rows of a
-  ``sliding_window_view``; numpy applies its pairwise summation per row
-  exactly as it does for a 1-D contiguous slice, so row ``i`` equals
-  ``x[i:i+width].mean()`` bitwise.
+- ``sliding_means`` reduces the rows of a ``sliding_window_view``; numpy
+  applies its pairwise summation per row exactly as it does for a 1-D
+  contiguous slice, so row ``i`` equals ``x[i:i+width].mean()`` bitwise.
 - the GLRT combiners below mirror the scalar expression trees of
   :func:`repro.signal.glrt.gaussian_mean_change_statistic` and
   :func:`repro.signal.poisson.poisson_rate_change_statistic` operation
@@ -42,7 +41,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "sliding_means",
-    "sliding_vars",
     "centered_half_widths",
     "mean_change_stats_equal_halves",
     "rate_change_stats_equal_halves",
@@ -61,15 +59,6 @@ def sliding_means(x: np.ndarray, width: int) -> np.ndarray:
     if x.size < width:
         return np.empty(0, dtype=float)
     return sliding_window_view(x, width).mean(axis=1)
-
-
-def sliding_vars(x: np.ndarray, width: int) -> np.ndarray:
-    """Variances of every length-``width`` window of ``x`` (see
-    :func:`sliding_means` for the bitwise guarantee)."""
-    x = np.asarray(x, dtype=float)
-    if x.size < width:
-        return np.empty(0, dtype=float)
-    return sliding_window_view(x, width).var(axis=1)
 
 
 def centered_half_widths(n: int, half_width: int) -> tuple:
@@ -163,9 +152,7 @@ def two_cluster_balance(windows: np.ndarray) -> np.ndarray:
     ``windows`` is ``(num_windows, width)``; each row is clustered exactly
     like :func:`repro.signal.clustering.two_cluster_split_1d`: split the
     sorted row at its *last* largest adjacent gap, ``0.0`` when all values
-    coincide.  Rows from different streams may be stacked freely -- each
-    row is independent -- which is what lets the joint detector run one
-    clustering pass for a whole dataset.
+    coincide.  Each row is clustered independently of the others.
     """
     windows = np.asarray(windows, dtype=float)
     if windows.size == 0:

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.detectors import DetectorConfig, JointDetector, extract_columns
+from repro.detectors import DetectorConfig, JointDetector
 from repro.errors import ValidationError
 from repro.obs import MetricsRegistry
 from repro.signal.ar import fit_ar_covariance
@@ -322,7 +322,30 @@ class TestAnalyzeBatchEquivalence:
 
     def test_reports_and_metrics_match(self):
         rng = np.random.default_rng(2008)
-        dataset = _random_dataset(rng)
+        self._assert_batch_matches_serial(_random_dataset(rng))
+        # A constant stream longer than the ME window makes its AR normal
+        # equations singular; only that stream may take the pinv fallback,
+        # and every report must still equal per-stream analyze.
+        window = DetectorConfig().me_window_ratings
+        constant = RatingStream(
+            "constant",
+            np.arange(window + 25, dtype=float),
+            np.full(window + 25, 4.0),
+            [f"c{i}" for i in range(window + 25)],
+        )
+        mixed = RatingDataset(list(_random_dataset(rng).streams()) + [constant])
+        reports = self._assert_batch_matches_serial(mixed)
+        me_curve = reports["constant"].curves["ME"]
+        assert_curve_equals(
+            me_curve,
+            naive_model_error(
+                constant.times, constant.values, window, DetectorConfig().ar_order
+            ),
+        )
+        assert me_curve.values[0] == 1.0
+
+    @staticmethod
+    def _assert_batch_matches_serial(dataset):
         serial_registry = MetricsRegistry()
         batch_registry = MetricsRegistry()
         serial = JointDetector(registry=serial_registry)
@@ -354,6 +377,7 @@ class TestAnalyzeBatchEquivalence:
                 assert (
                     batch_registry.counter_value(name) == counter.value
                 ), name
+        return got
 
     def test_short_streams_counted(self):
         config = DetectorConfig()
@@ -366,19 +390,3 @@ class TestAnalyzeBatchEquivalence:
         reports = detector.analyze_batch(RatingDataset(streams))
         assert all(not r.suspicious.any() for r in reports.values())
         assert registry.counter_value("detector.short_streams") == 2
-
-    def test_columns_roundtrip(self):
-        rng = np.random.default_rng(11)
-        dataset = _random_dataset(rng, num_products=4)
-        columns = extract_columns(dataset)
-        assert columns.product_ids == tuple(dataset)
-        assert columns.total_ratings == dataset.total_ratings()
-        for i, pid in enumerate(columns.product_ids):
-            stream = dataset[pid]
-            assert np.array_equal(columns.stream_times(i), stream.times)
-            assert np.array_equal(columns.stream_values(i), stream.values)
-            decoded = tuple(
-                columns.rater_vocab[code]
-                for code in columns.rater_codes[columns.stream_slice(i)]
-            )
-            assert decoded == stream.rater_ids

@@ -228,10 +228,10 @@ class TestJointDetector:
             report.path2_intervals
         )
 
-    def test_analyze_dataset(self):
+    def test_analyze_batch(self):
         ds = RatingDataset([fair_stream(seed=1, product="a"),
                             fair_stream(seed=2, product="b")])
-        reports = JointDetector().analyze_dataset(ds)
+        reports = JointDetector().analyze_batch(ds)
         assert set(reports) == {"a", "b"}
 
     def test_suspicious_mask_frozen(self):

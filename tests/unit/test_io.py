@@ -89,6 +89,22 @@ class TestDatasetCsv:
             )
 
 
+    @pytest.mark.parametrize(
+        "row, field",
+        [
+            ("p,a,1.0,4.0,2", "unfair"),
+            ("p,a,1.0,4.0,yes", "unfair"),
+            ("p,a,nan,4.0,0", "time"),
+            ("p,a,1.0,inf,0", "value"),
+            ('p,"a\rb",1.0,4.0,0', "rater_id"),
+        ],
+    )
+    def test_malformed_fields_named(self, row, field):
+        text = "product_id,rater_id,time,value,unfair\n" + row + "\n"
+        with pytest.raises(ValidationError, match=field):
+            dataset_from_csv(text)
+
+
 class TestSubmissionJson:
     def test_roundtrip(self):
         original = sample_submission()
@@ -105,9 +121,34 @@ class TestSubmissionJson:
         with pytest.raises(ValidationError):
             submission_from_json("{not json")
 
+    @pytest.mark.parametrize(
+        "text", ['{"submission_id": ' + "1" * 5000 + "}", "[" * 100_000]
+    )
+    def test_unparseable_numbers_and_nesting_rejected(self, text):
+        with pytest.raises(ValidationError, match="invalid submission JSON"):
+            submission_from_json(text)
+
     def test_missing_keys_rejected(self):
         with pytest.raises(ValidationError, match="products"):
             submission_from_json('{"submission_id": "x"}')
+
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            ('{"submission_id": "x", "products": {"p": {"ratings": '
+             '[{"time": 1.0, "value": 2.0}]}}}', "rater_id"),
+            ('{"submission_id": "x", "products": []}', "products"),
+            ('{"submission_id": "x", "products": {"p": []}}', "products"),
+            ('{"submission_id": "x", "products": {"p": {"ratings": '
+             '[{"rater_id": "a", "time": "soon", "value": 2.0}]}}}', "time"),
+            ('{"submission_id": "x", "products": {"p": {"ratings": '
+             '[{"rater_id": "a", "time": 1.0, "value": NaN}]}}}', "value"),
+            ('"just a string"', "object"),
+        ],
+    )
+    def test_malformed_fields_named(self, text, field):
+        with pytest.raises(ValidationError, match=field):
+            submission_from_json(text)
 
     def test_file_roundtrip(self, tmp_path):
         path = tmp_path / "sub.json"

@@ -119,6 +119,34 @@ class TestSampling:
             profiler.stop()
         assert any(key.startswith("span:-;") for key in profiler.samples)
 
+    def test_torn_span_read_is_dropped(self, monkeypatch):
+        # The thread entered a span between the two stack reads, so its
+        # frames may belong to either side: no sample is recorded.
+        import threading
+
+        from repro.obs import profile as profile_module
+
+        tid = threading.get_ident()
+        reads = iter([{tid: ""}, {tid: "detector.MC"}, {tid: "x"}, {tid: "x"}])
+        monkeypatch.setattr(
+            profile_module, "span_stack_snapshot", lambda: next(reads)
+        )
+        profiler = SpanProfiler(MetricsRegistry(), hz=100)
+        profiler._sample_once()
+        assert profiler.samples == {}
+        profiler._sample_once()
+        assert all(key.startswith("span:x;") for key in profiler.samples)
+        assert profiler.samples
+
+    def test_no_samples_once_stop_is_requested(self):
+        # stop() sets the event and joins the sampler: a sample taken
+        # then would only show the profiler's own teardown.
+        profiler = SpanProfiler(MetricsRegistry(), hz=100)
+        profiler._stop_event.set()
+        with span("work", MetricsRegistry()):
+            profiler._sample_once()
+        assert profiler.samples == {}
+
 
 class TestEnablement:
     def test_disabled_is_the_default_and_task_profiler_is_none(self):
