@@ -63,11 +63,11 @@ def main() -> int:
     )
 
     registry = MetricsRegistry()
-    detector = JointDetector(registry=registry)
+    detector = JointDetector()
     streams = 0
     batch_seconds = []
     start = time.perf_counter()
-    with use_registry(registry), SpanProfiler(registry):
+    with use_registry(registry), SpanProfiler():
         for submission in population:
             dataset = challenge.attacked_dataset(submission)
             batch_start = time.perf_counter()

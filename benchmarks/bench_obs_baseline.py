@@ -58,7 +58,7 @@ def _run(population: int, registry=None, profile: bool = False) -> float:
     start = time.perf_counter()
     with use_registry(registry):
         if profile:
-            with SpanProfiler(registry):
+            with SpanProfiler():
                 run_headline_comparison(context)
         else:
             run_headline_comparison(context)
@@ -86,7 +86,8 @@ def _replay_once(challenge, with_series: bool) -> float:
         )
         registry.attach_series(recorder)
     start = time.perf_counter()
-    challenge.replay_online(PScheme(), registry=registry)
+    with use_registry(registry):
+        challenge.replay_online(PScheme())
     elapsed = time.perf_counter() - start
     if sink is not None:
         sink.close()

@@ -214,15 +214,13 @@ def alerting_scenario(challenge, seed: int) -> None:
     def replay(submission):
         """One online replay with series + alerts attached; the engine."""
         registry = MetricsRegistry()
-        engine = AlertEngine(
-            load_rules(DEFAULT_RULES_PATH), registry=registry
-        )
+        engine = AlertEngine(load_rules(DEFAULT_RULES_PATH))
         sink = MetricsStreamWriter("online_monitoring_stream.jsonl")
-        recorder = TimeSeriesRecorder(sink=sink, engine=engine)
-        registry.attach_series(recorder)
-        challenge.replay_online(
-            PScheme(), submission=submission, registry=registry
-        )
+        registry.attach_series(TimeSeriesRecorder(sink=sink, engine=engine))
+        # One sink for the whole replay: the online system, drift monitor,
+        # P-scheme, detector and trust manager all record into it.
+        with use_registry(registry):
+            challenge.replay_online(PScheme(), submission=submission)
         sink.close()
         return engine
 

@@ -47,7 +47,7 @@ from repro.detectors.integration import JointDetector
 from repro.errors import ValidationError
 from repro.marketplace.mp import month_edges
 from repro.obs import span
-from repro.obs.registry import MetricsRegistry, get_registry
+from repro.obs.registry import get_registry
 from repro.trust.manager import TrustManager
 from repro.types import RatingDataset, RatingStream
 
@@ -125,30 +125,14 @@ def _stream_key(stream: RatingStream) -> tuple:
 
 
 class PScheme(AggregationScheme):
-    """The proposed reliable rating aggregation system.
-
-    ``registry`` injects a metrics sink for this scheme's telemetry
-    (cache counters, stage timings); ``None`` uses the globally active
-    registry at call time.  The injected registry also feeds the embedded
-    :class:`JointDetector` and :class:`TrustManager`.
-    """
+    """The proposed reliable rating aggregation system."""
 
     name = "P"
 
-    def __init__(
-        self,
-        config: Optional[PSchemeConfig] = None,
-        registry: Optional[MetricsRegistry] = None,
-    ) -> None:
+    def __init__(self, config: Optional[PSchemeConfig] = None) -> None:
         self.config = config if config is not None else PSchemeConfig()
-        self._registry = registry
-        self.detector = JointDetector(self.config.detector, registry=registry)
+        self.detector = JointDetector(self.config.detector)
         self._report_cache: "OrderedDict" = OrderedDict()
-
-    @property
-    def registry(self) -> MetricsRegistry:
-        """The metrics sink in effect (injected, else the global one)."""
-        return self._registry if self._registry is not None else get_registry()
 
     # ------------------------------------------------------------------ #
     # Detection with per-stream caching
@@ -171,7 +155,7 @@ class PScheme(AggregationScheme):
         analyzed, so a warm cache pays detection for the attacked
         products only.
         """
-        registry = self.registry
+        registry = get_registry()
         if trust_lookup is not None:
             reports = self.detector.analyze_batch(dataset, trust_lookup)
             marks: Dict[str, np.ndarray] = {}
@@ -209,26 +193,24 @@ class PScheme(AggregationScheme):
 
     # ------------------------------------------------------------------ #
 
-    def _trust_and_marks(self, dataset: RatingDataset, epoch_times, registry):
+    def _trust_and_marks(self, dataset: RatingDataset, epoch_times):
         """Run detection + Procedure 1, optionally with the feedback pass."""
-        with span("detect", registry):
+        with span("detect"):
             marks = self.detect(dataset)
         manager = TrustManager(
-            self.config.initial_trust, self.config.forgetting_factor,
-            registry=registry,
+            self.config.initial_trust, self.config.forgetting_factor
         )
-        with span("trust", registry):
+        with span("trust"):
             snapshots = manager.run(dataset, marks, epoch_times)
         if self.config.two_pass:
             final = snapshots[-1]
             lookup = lambda rid: final.value(rid, self.config.initial_trust)  # noqa: E731
-            with span("detect", registry):
+            with span("detect"):
                 marks = self.detect(dataset, trust_lookup=lookup)
             manager = TrustManager(
-                self.config.initial_trust, self.config.forgetting_factor,
-                registry=registry,
+                self.config.initial_trust, self.config.forgetting_factor
             )
-            with span("trust", registry):
+            with span("trust"):
                 snapshots = manager.run(dataset, marks, epoch_times)
         return marks, snapshots
 
@@ -239,14 +221,11 @@ class PScheme(AggregationScheme):
         start_day: float = 0.0,
         end_day: float = 90.0,
     ) -> Dict[str, np.ndarray]:
-        registry = self.registry
-        with span("pscheme.monthly_scores", registry):
+        with span("pscheme.monthly_scores"):
             edges = month_edges(start_day, end_day, period_days)
             epoch_times = [float(hi) for hi in edges[1:]]
-            marks, snapshots = self._trust_and_marks(
-                dataset, epoch_times, registry
-            )
-            with span("aggregate", registry):
+            marks, snapshots = self._trust_and_marks(dataset, epoch_times)
+            with span("aggregate"):
                 scores = self._aggregate(dataset, edges, marks, snapshots)
         return scores
 

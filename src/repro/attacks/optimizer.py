@@ -24,7 +24,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import AttackSpecError
 from repro.obs import get_logger
-from repro.obs.registry import MetricsRegistry, get_registry
+from repro.obs.registry import get_registry
 from repro.utils.validation import check_positive_int
 
 logger = get_logger(__name__)
@@ -152,7 +152,6 @@ def heuristic_region_search(
     max_rounds: int = 12,
     overlap: float = 0.25,
     final_probes: Optional[int] = None,
-    registry: Optional[MetricsRegistry] = None,
     probe_batch: Optional[
         Callable[[Sequence[Tuple[float, float, int]]], List[float]]
     ] = None,
@@ -180,10 +179,10 @@ def heuristic_region_search(
     requests are scored in one batched call, letting a parallel evaluator
     fan the whole round out at once; ``evaluate`` may then be ``None``.
 
-    Every probe (one MP evaluation) is counted and timed into the metrics
-    ``registry`` (``search.probes``, ``search.probe_seconds``); ``None``
-    uses the globally active registry.  On the batched path timings and
-    MP observations are recorded per *request* rather than per probe.
+    Every probe (one MP evaluation) is counted and timed into the active
+    metrics registry (``search.probes``, ``search.probe_seconds``).  On
+    the batched path timings and MP observations are recorded per
+    *request* rather than per probe.
     """
     probes_per_subarea = check_positive_int(probes_per_subarea, "probes_per_subarea")
     max_rounds = check_positive_int(max_rounds, "max_rounds")
@@ -191,7 +190,7 @@ def heuristic_region_search(
         raise AttackSpecError("provide evaluate or probe_batch")
     if final_probes is None:
         final_probes = 2 * probes_per_subarea
-    reg = registry if registry is not None else get_registry()
+    reg = get_registry()
     memo: Optional[Dict[Tuple[float, float, int], float]] = {} if memoize else None
 
     def probe(bias: float, std: float) -> float:

@@ -890,7 +890,7 @@ def _cmd_report(args) -> int:
             "fair raters": [mean_trust(s, fair_set) for s in snapshots],
         }
 
-        monitor = DriftMonitor(registry=registry)
+        monitor = DriftMonitor()
         monitor.calibrate(challenge.fair_dataset)
         drift_warnings = []
         window_start = challenge.start_day
@@ -1271,7 +1271,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 return 2
             recorder = TimeSeriesRecorder(
                 sink=stream_sink,
-                engine=AlertEngine(rules, registry=registry),
+                engine=AlertEngine(rules),
             )
             registry.attach_series(recorder)
         if args.ledger:
@@ -1284,7 +1284,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 hz=args.profile_hz, memory=args.profile_mem
             )
             profiler = obs_profile.SpanProfiler(
-                registry, hz=args.profile_hz, memory=args.profile_mem
+                hz=args.profile_hz, memory=args.profile_mem
             ).start()
     start = perf_counter()
     try:
@@ -1300,6 +1300,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if profiler is not None:
             profiler.stop()
             obs_profile.disable_profiling()
+        if recorder is not None and recorder.empty:
+            # Commands with no epoch structure still stream one closing
+            # summary snapshot (and one alert evaluation) at epoch 0 --
+            # taken while this invocation's registry is still active, so
+            # the alert engine's own metrics land in it too.
+            recorder.record_epoch(0, registry)
         if registry is not None:
             set_registry(previous)
         if capture is not None:
@@ -1307,10 +1313,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if registry is None:
         return status
     if recorder is not None:
-        if recorder.empty:
-            # Commands with no epoch structure still stream one closing
-            # summary snapshot (and one alert evaluation) at epoch 0.
-            recorder.record_epoch(0, registry)
         if stream_sink is not None:
             stream_sink.close()
             print(

@@ -64,7 +64,7 @@ from repro.detectors.histogram import (
 from repro.detectors.mean_change import MeanChangeDetector, MeanChangeReport
 from repro.detectors.model_error import ModelErrorDetector, ModelErrorReport
 from repro.obs import get_logger
-from repro.obs.registry import MetricsRegistry, get_registry
+from repro.obs.registry import get_registry
 from repro.obs.spans import span
 from repro.types import RatingStream
 
@@ -76,29 +76,15 @@ logger = get_logger(__name__)
 
 
 class JointDetector:
-    """The complete suspicious-rating detection stage of the P-scheme.
+    """The complete suspicious-rating detection stage of the P-scheme."""
 
-    ``registry`` injects a metrics sink for this detector's telemetry;
-    when ``None`` the globally active registry is used at call time.
-    """
-
-    def __init__(
-        self,
-        config: Optional[DetectorConfig] = None,
-        registry: Optional[MetricsRegistry] = None,
-    ) -> None:
+    def __init__(self, config: Optional[DetectorConfig] = None) -> None:
         self.config = config if config is not None else DetectorConfig()
-        self._registry = registry
         self.mean_change = MeanChangeDetector(self.config)
         self.h_arc = ArrivalRateDetector("H-ARC", self.config)
         self.l_arc = ArrivalRateDetector("L-ARC", self.config)
         self.histogram = HistogramChangeDetector(self.config)
         self.model_error = ModelErrorDetector(self.config)
-
-    @property
-    def registry(self) -> MetricsRegistry:
-        """The metrics sink in effect (injected, else the global one)."""
-        return self._registry if self._registry is not None else get_registry()
 
     # ------------------------------------------------------------------ #
 
@@ -205,8 +191,8 @@ class JointDetector:
         ``detector.<kind>.seconds`` histogram is kept for dashboards
         that predate the span tree.
         """
-        registry = self.registry
-        with span(f"detector.{kind}", registry):
+        registry = get_registry()
+        with span(f"detector.{kind}"):
             start = perf_counter()
             report = analyze(*args)
             elapsed = perf_counter() - start
@@ -232,7 +218,7 @@ class JointDetector:
         """
         n = len(stream)
         if n < self.config.min_ratings:
-            self.registry.inc("detector.short_streams")
+            get_registry().inc("detector.short_streams")
             return DetectionReport(
                 product_id=stream.product_id,
                 suspicious=np.zeros(n, dtype=bool),
@@ -243,8 +229,8 @@ class JointDetector:
         hc_report = self._timed("HC", self.histogram.analyze, stream)
         me_report = self._timed("ME", self.model_error.analyze, stream)
 
-        registry = self.registry
-        with span("detector.joint", registry):
+        registry = get_registry()
+        with span("detector.joint"):
             mean_value = float(stream.values.mean())
             high_mask = stream.values > self.config.high_value_threshold(mean_value)
             low_mask = stream.values < self.config.low_value_threshold(mean_value)

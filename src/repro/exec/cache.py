@@ -32,7 +32,7 @@ from pathlib import Path
 from typing import Any, Optional, Tuple
 
 from repro.obs.logging_setup import get_logger
-from repro.obs.registry import MetricsRegistry, get_registry
+from repro.obs.registry import get_registry
 
 __all__ = ["MPCache", "CACHE_SCHEMA_VERSION"]
 
@@ -50,30 +50,22 @@ class MPCache:
     cache_dir:
         Directory for persistent entries (created if missing); ``None``
         keeps the cache purely in-memory.
-    registry:
-        Metrics sink for hit/miss counters; ``None`` uses the globally
-        active registry at call time.
+
+    Hit/miss counters go to the registry active at call time.
     """
 
     def __init__(
         self,
         cache_dir: Optional[os.PathLike] = None,
-        registry: Optional[MetricsRegistry] = None,
     ) -> None:
         self._memory: dict = {}
         self._dir: Optional[Path] = None
-        self._registry = registry
         self._warned_corrupt = False
         if cache_dir is not None:
             self._dir = Path(cache_dir)
             self._dir.mkdir(parents=True, exist_ok=True)
 
     # ------------------------------------------------------------------ #
-
-    @property
-    def registry(self) -> MetricsRegistry:
-        """The metrics sink (the global one unless injected)."""
-        return self._registry if self._registry is not None else get_registry()
 
     @property
     def cache_dir(self) -> Optional[Path]:
@@ -96,16 +88,16 @@ class MPCache:
         holding an instance of ``value_type``.
         """
         if key in self._memory:
-            self.registry.inc("exec.cache.hits")
+            get_registry().inc("exec.cache.hits")
             return True, self._memory[key]
         if self._dir is not None:
             found, value = self._read(key, value_type)
             if found:
                 self._memory[key] = value
-                self.registry.inc("exec.cache.hits")
-                self.registry.inc("exec.cache.disk_hits")
+                get_registry().inc("exec.cache.hits")
+                get_registry().inc("exec.cache.disk_hits")
                 return True, value
-        self.registry.inc("exec.cache.misses")
+        get_registry().inc("exec.cache.misses")
         return False, None
 
     def _read(self, key: str, value_type: type) -> Tuple[bool, Any]:
@@ -132,7 +124,7 @@ class MPCache:
         # from a crashed process, a stale pickle from an incompatible
         # version, or a file copied under the wrong name.  Still a miss
         # (the value is recomputed and overwritten), but one worth seeing.
-        self.registry.inc("exec.cache.corrupt")
+        get_registry().inc("exec.cache.corrupt")
         if not self._warned_corrupt:
             self._warned_corrupt = True
             logger.warning(
@@ -147,7 +139,7 @@ class MPCache:
     def put(self, key: str, value: Any) -> None:
         """Store ``value`` under ``key`` (memory, plus disk when enabled)."""
         self._memory[key] = value
-        self.registry.inc("exec.cache.puts")
+        get_registry().inc("exec.cache.puts")
         if self._dir is None:
             return
         path = self._path(key)
@@ -162,7 +154,7 @@ class MPCache:
             os.replace(tmp, path)
         except OSError:
             # Persistence is best-effort; the in-memory entry stands.
-            self.registry.inc("exec.cache.write_errors")
+            get_registry().inc("exec.cache.write_errors")
             try:
                 os.unlink(tmp)
             except OSError:

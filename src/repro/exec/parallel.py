@@ -87,9 +87,9 @@ def _run_task_timed(
         # capsule and merge in task order, exactly like counters.  The
         # task profiler nests above any CLI-level profiler, so inline
         # (workers=0) dispatch never double-counts a sample.
-        profiler = maybe_task_profiler(local)
+        profiler = maybe_task_profiler()
         try:
-            with span("exec.task", local) as record:
+            with span("exec.task") as record:
                 record.annotate(task=type(task).__name__)
                 try:
                     value = task.run()
@@ -121,12 +121,6 @@ class ParallelEvaluator:
         evaluator guarantees a hit returns the same value a cold run
         would have produced (task results are pure functions of the
         task).
-    registry:
-        Metrics sink; ``None`` uses the globally active registry.  When
-        the sink is collecting, every task (inline or pooled) runs under
-        a fresh local registry and its telemetry is merged back as a
-        :class:`~repro.obs.capsule.TelemetryCapsule` -- worker metrics
-        and spans are never dropped.
     chunksize:
         Tasks per pool submission; default balances load as
         ``min(32, ceil(pending / (4 * workers)))``.
@@ -136,13 +130,18 @@ class ParallelEvaluator:
         metrics become bit-identical at any worker count (shared-scheme
         cache hit/miss counts otherwise depend on task packing).  Costs
         cross-task report-cache amortization; off by default.
+
+    Telemetry goes to the registry active at :meth:`map` time.  When it
+    is collecting, every task (inline or pooled) runs under a fresh local
+    registry and its telemetry is merged back as a
+    :class:`~repro.obs.capsule.TelemetryCapsule` -- worker metrics and
+    spans are never dropped.
     """
 
     def __init__(
         self,
         workers: int = 0,
         cache: Optional[MPCache] = None,
-        registry: Optional[MetricsRegistry] = None,
         chunksize: Optional[int] = None,
         hermetic_telemetry: bool = False,
     ) -> None:
@@ -150,16 +149,10 @@ class ParallelEvaluator:
         self.cache = cache
         self.chunksize = chunksize
         self.hermetic_telemetry = bool(hermetic_telemetry)
-        self._registry = registry
         self._pool: Optional[ProcessPoolExecutor] = None
         self._pool_broken = False
 
     # ------------------------------------------------------------------ #
-
-    @property
-    def registry(self) -> MetricsRegistry:
-        """The metrics sink (the global one unless injected)."""
-        return self._registry if self._registry is not None else get_registry()
 
     def close(self) -> None:
         """Shut down the worker pool (the evaluator stays usable inline)."""
@@ -189,7 +182,7 @@ class ParallelEvaluator:
                 logger.warning(
                     "process pool unavailable (%s); running serially", exc
                 )
-                self.registry.inc("exec.pool_fallbacks")
+                get_registry().inc("exec.pool_fallbacks")
                 self._pool_broken = True
         return self._pool
 
@@ -204,7 +197,7 @@ class ParallelEvaluator:
         parent_path: str,
         base_depth: int,
     ) -> Any:
-        reg = self.registry
+        reg = get_registry()
         if capsule is not None:
             # Merge before any failure is raised so a crashing task's
             # telemetry (its spans, partial counters) is never lost.
@@ -247,7 +240,7 @@ class ParallelEvaluator:
             pending = unique_pending
         if not pending and not duplicates:
             return results
-        reg = self.registry
+        reg = get_registry()
         capture = bool(reg.enabled)
         reg.set_gauge("exec.workers", float(self.workers))
         pool = (
@@ -255,7 +248,7 @@ class ParallelEvaluator:
             if self.workers > 0 and len(pending) > 1
             else None
         )
-        with span("exec.map", reg) as map_span:
+        with span("exec.map") as map_span:
             map_span.annotate(tasks=len(tasks), pending=len(pending))
             parent_path = map_span.path
             base_depth = map_span.depth + 1
@@ -299,7 +292,7 @@ class ParallelEvaluator:
             pending[offset : offset + chunksize]
             for offset in range(0, len(pending), chunksize)
         ]
-        self.registry.inc("exec.chunks", len(chunks))
+        get_registry().inc("exec.chunks", len(chunks))
         hermetic = self.hermetic_telemetry
         futures = [
             pool.submit(
@@ -319,7 +312,7 @@ class ParallelEvaluator:
                         "process pool failed mid-run (%s); finishing serially",
                         exc,
                     )
-                    self.registry.inc("exec.pool_fallbacks")
+                    get_registry().inc("exec.pool_fallbacks")
                     self._pool_broken = True
                     degraded = True
                     outcomes = _run_chunk(

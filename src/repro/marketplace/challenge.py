@@ -268,9 +268,7 @@ class RatingChallenge:
         scheme,
         submission: Optional[AttackSubmission] = None,
         validate: bool = True,
-        registry=None,
         monitor_drift: bool = True,
-        series_recorder=None,
     ):
         """Stream the challenge world through an online rating system.
 
@@ -285,6 +283,8 @@ class RatingChallenge:
         worlds.  Returns the :class:`~repro.online.system.
         OnlineRatingSystem` with its epoch reports -- the operational
         (drift/alert) view of the same world the batch evaluator scores.
+        Telemetry from every layer goes to the active registry; replay
+        under ``use_registry(registry)`` to collect it in one place.
         """
         from repro.online.system import OnlineRatingSystem
 
@@ -314,9 +314,7 @@ class RatingChallenge:
             start_day=self.start_day,
             period_days=self.config.period_days,
             history=history_dataset if history else None,
-            registry=registry,
             monitor_drift=monitor_drift,
-            series_recorder=series_recorder,
         )
         system.submit_many(sorted(live))
         while system.current_epoch_end <= self.end_day:

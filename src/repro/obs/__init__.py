@@ -7,8 +7,9 @@ this package:
 - :class:`MetricsRegistry` -- process-local counters, gauges, and
   histograms with summary statistics.  The default global sink is
   :data:`NULL_REGISTRY` (no-op, near-zero overhead); install a collecting
-  registry with :func:`set_registry` / :func:`use_registry`, or inject one
-  into any instrumented component.
+  registry with :func:`set_registry` / :func:`use_registry`.  That is the
+  one sink: every instrumented layer records into whatever registry is
+  active at call time.
 - :func:`span` -- nested wall-clock tracing; per-stage durations land in
   ``span.<dotted.path>.seconds`` histograms.
 - :func:`setup_logging` / :func:`get_logger` -- structured ``key=value``

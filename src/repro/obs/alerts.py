@@ -32,7 +32,7 @@ from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ValidationError
-from repro.obs.registry import MetricsRegistry, get_registry
+from repro.obs.registry import get_registry
 
 __all__ = [
     "DEFAULT_RULES_PATH",
@@ -182,15 +182,11 @@ class AlertEngine:
     """Evaluates a ruleset against a recorder at each epoch close.
 
     State transitions append to :attr:`events` and emit ``alert.*``
-    metrics into the evaluating registry; :meth:`evaluate` returns just
-    the events the given epoch produced.
+    metrics into the active registry; :meth:`evaluate` returns just the
+    events the given epoch produced.
     """
 
-    def __init__(
-        self,
-        rules: Sequence[AlertRule],
-        registry: Optional[MetricsRegistry] = None,
-    ) -> None:
+    def __init__(self, rules: Sequence[AlertRule]) -> None:
         names = [rule.name for rule in rules]
         duplicates = {name for name in names if names.count(name) > 1}
         if duplicates:
@@ -198,7 +194,6 @@ class AlertEngine:
                 f"duplicate alert rule names: {sorted(duplicates)}"
             )
         self.rules: Tuple[AlertRule, ...] = tuple(rules)
-        self._registry = registry
         self._states: Dict[str, _RuleState] = {
             rule.name: _RuleState() for rule in self.rules
         }
@@ -223,14 +218,8 @@ class AlertEngine:
 
     # -- evaluation ----------------------------------------------------- #
 
-    def evaluate(
-        self,
-        recorder,
-        epoch: int,
-        registry: Optional[MetricsRegistry] = None,
-    ) -> List[AlertEvent]:
+    def evaluate(self, recorder, epoch: int) -> List[AlertEvent]:
         """Evaluate every rule at ``epoch``; return this epoch's events."""
-        registry = registry or self._registry or get_registry()
         epoch = int(epoch)
         produced: List[AlertEvent] = []
         for rule in self.rules:
@@ -280,6 +269,7 @@ class AlertEngine:
                 else:
                     state.first_breach_epoch = None
         self.events.extend(produced)
+        registry = get_registry()
         registry.inc("alert.evaluations", float(len(self.rules)))
         for event in produced:
             registry.inc("alert.events")

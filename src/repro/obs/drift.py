@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.errors import ValidationError
 from repro.obs.logging_setup import get_logger
-from repro.obs.registry import MetricsRegistry, get_registry
+from repro.obs.registry import get_registry
 from repro.types import RatingDataset, RatingStream
 
 __all__ = [
@@ -194,8 +194,7 @@ class DriftWarning:
 class DriftMonitor:
     """Checks product streams against the fair-regime assumptions.
 
-    ``registry`` injects a metrics sink; ``None`` uses the globally
-    active registry at call time.  Counters: ``drift.checks`` (monitored
+    Counters go to the active registry: ``drift.checks`` (monitored
     product-epochs), ``drift.warnings`` (total violations), and
     ``drift.<kind>.violations`` per monitor kind.
     """
@@ -207,19 +206,9 @@ class DriftMonitor:
         "mean-drift": "mean",
     }
 
-    def __init__(
-        self,
-        config: Optional[DriftMonitorConfig] = None,
-        registry: Optional[MetricsRegistry] = None,
-    ) -> None:
+    def __init__(self, config: Optional[DriftMonitorConfig] = None) -> None:
         self.config = config if config is not None else DriftMonitorConfig()
-        self._registry = registry
         self._fair_mean: Optional[float] = self.config.fair_mean
-
-    @property
-    def registry(self) -> MetricsRegistry:
-        """The metrics sink in effect (injected, else the global one)."""
-        return self._registry if self._registry is not None else get_registry()
 
     @property
     def fair_mean(self) -> Optional[float]:
@@ -318,7 +307,7 @@ class DriftMonitor:
         return warnings
 
     def _record(self, warnings: List[DriftWarning]) -> None:
-        registry = self.registry
+        registry = get_registry()
         registry.inc("drift.checks")
         if not warnings:
             return

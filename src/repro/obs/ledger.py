@@ -231,14 +231,13 @@ def _percentile(ordered: Sequence[float], q: float) -> float:
 def build_record(
     command: str,
     argv: Sequence[str],
-    registry: Optional[MetricsRegistry] = None,
+    registry: MetricsRegistry,
     wall_seconds: float = 0.0,
     status: int = 0,
     capture: Optional[_RunCapture] = None,
     timestamp: Optional[float] = None,
 ) -> RunRecord:
     """Assemble a :class:`RunRecord` for one finished invocation."""
-    registry = registry if registry is not None else get_registry()
     # The run ledger is the repo's one sanctioned wall-clock source: a
     # record's timestamp identifies *when a run happened* and is never an
     # input to any fingerprinted or replayed computation.

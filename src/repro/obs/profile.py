@@ -130,20 +130,18 @@ class SpanProfiler:
 
     Parameters
     ----------
-    registry:
-        Where samples (and the ``profile.*`` / ``mem.*`` metrics) land at
-        :meth:`stop`; ``None`` uses the globally active registry at stop
-        time.
     hz:
         Samples per second (default :data:`DEFAULT_HZ`).
     memory:
         Also start ``tracemalloc`` and record per-span allocation deltas
         and peak watermarks (significantly more overhead than sampling).
+
+    Samples (and the ``profile.*`` / ``mem.*`` metrics) land in the
+    registry active at :meth:`stop` time.
     """
 
     def __init__(
         self,
-        registry: Optional[MetricsRegistry] = None,
         hz: int = DEFAULT_HZ,
         memory: bool = False,
     ) -> None:
@@ -152,16 +150,11 @@ class SpanProfiler:
         self.hz = int(hz)
         self.memory = bool(memory)
         self.samples: Dict[str, float] = {}
-        self._registry = registry
         self._stop_event = threading.Event()
         self._thread: Optional[threading.Thread] = None
         self._owns_tracemalloc = False
 
     # ------------------------------------------------------------------ #
-
-    @property
-    def registry(self) -> MetricsRegistry:
-        return self._registry if self._registry is not None else get_registry()
 
     @property
     def running(self) -> bool:
@@ -196,7 +189,7 @@ class SpanProfiler:
             _profiler_stack.remove(self)
         except ValueError:
             pass  # e.g. a forked child stopping the inherited profiler
-        registry = self.registry
+        registry = get_registry()
         if self.memory:
             set_memory_tracking(False)
             if tracemalloc.is_tracing():
@@ -319,20 +312,16 @@ def profiling_hz() -> int:
     return _enabled_hz if _enabled_hz is not None else DEFAULT_HZ
 
 
-def maybe_task_profiler(
-    registry: MetricsRegistry,
-) -> Optional[SpanProfiler]:
+def maybe_task_profiler() -> Optional[SpanProfiler]:
     """A started per-task profiler when profiling is globally enabled.
 
     Called by the execution engine inside each captured task (worker- or
-    parent-side) so worker samples land in the task's local registry and
-    ride back in its :class:`~repro.obs.capsule.TelemetryCapsule`.
+    parent-side), under the task's local registry, so worker samples land
+    there and ride back in its :class:`~repro.obs.capsule.TelemetryCapsule`.
     """
     if _enabled_hz is None:
         return None
-    return SpanProfiler(
-        registry, hz=_enabled_hz, memory=_enabled_memory
-    ).start()
+    return SpanProfiler(hz=_enabled_hz, memory=_enabled_memory).start()
 
 
 # --------------------------------------------------------------------- #

@@ -8,12 +8,12 @@ taking on any dependency):
   whose methods are no-ops -- the cost of uncollected telemetry is one
   attribute lookup and one no-op call.  Collection starts when a real
   :class:`MetricsRegistry` is installed (``set_registry`` /
-  ``use_registry``) or injected into a component.
-- **Injectable.**  Every instrumented component (``PScheme``,
-  ``JointDetector``, ``TrustManager``, ``OnlineRatingSystem``,
-  ``heuristic_region_search``) accepts a ``registry`` argument; ``None``
-  means "whatever is globally active at call time", so tests can observe
-  a single component without global state.
+  ``use_registry``).
+- **One sink.**  Instrumented components (``PScheme``, ``JointDetector``,
+  ``TrustManager``, ``OnlineRatingSystem``, ``heuristic_region_search``,
+  ...) take no registry argument: each records into whatever registry is
+  active at call time, so one ``use_registry`` block collects a whole run
+  across every layer, and a test substitutes its fake the same way.
 - **Summaries, not samples.**  Histograms keep running summary statistics
   (count/sum/min/max) plus a bounded reservoir of recent observations for
   percentiles, so memory stays O(1) per metric under heavy traffic.

@@ -148,6 +148,8 @@ class TimeSeriesRecorder:
         The snapshot is taken *before* the recorder's own ``series.*``
         metrics are bumped, so self-telemetry appears in series from the
         following epoch -- deterministically, regardless of topology.
+        The alert engine records its ``alert.*`` metrics into the active
+        registry.
         """
         epoch = int(epoch)
         snapshot = flatten_registry(
@@ -166,13 +168,13 @@ class TimeSeriesRecorder:
         if self.sink is not None:
             self.sink.write(epoch, snapshot)
         if self.engine is not None:
-            return self.engine.evaluate(self, epoch, registry=registry)
+            return self.engine.evaluate(self, epoch)
         return []
 
     def ingest_snapshot(self, epoch: int, metrics: Mapping[str, float]) -> list:
         """Fold an externally produced snapshot (e.g. a replayed JSONL
         line) into the series; return alert events, like
-        :meth:`record_epoch`, but with no registry side effects."""
+        :meth:`record_epoch`, but without the ``series.*`` metrics."""
         epoch = int(epoch)
         for name, value in sorted(metrics.items()):
             value = float(value)

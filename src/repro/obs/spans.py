@@ -14,9 +14,9 @@ import time
 import tracemalloc
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List
 
-from repro.obs.registry import NULL_REGISTRY, MetricsRegistry, get_registry
+from repro.obs.registry import NULL_REGISTRY, get_registry
 
 __all__ = [
     "SpanRecord",
@@ -129,9 +129,7 @@ _NULL_SPAN = SpanRecord(name="", path="", depth=0)
 
 
 @contextmanager
-def span(
-    name: str, registry: Optional[MetricsRegistry] = None
-) -> Iterator[SpanRecord]:
+def span(name: str) -> Iterator[SpanRecord]:
     """Time a section of code, nesting under any enclosing span.
 
     Usage::
@@ -142,9 +140,9 @@ def span(
 
     records histograms ``span.pscheme.monthly_scores.seconds`` and
     ``span.pscheme.monthly_scores.detect.seconds`` into the registry
-    (the explicit one, or whatever is globally active at entry).
+    active at entry.
     """
-    reg = registry if registry is not None else get_registry()
+    reg = get_registry()
     if reg is NULL_REGISTRY or not reg.enabled:
         # No sink: skip the clock and the stack entirely.
         yield _NULL_SPAN

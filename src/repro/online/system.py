@@ -44,8 +44,7 @@ from repro.errors import ValidationError
 from repro.obs import get_logger
 from repro.obs.alerts import AlertEvent
 from repro.obs.drift import DriftMonitor, DriftMonitorConfig, DriftWarning
-from repro.obs.registry import MetricsRegistry, get_registry
-from repro.obs.series import TimeSeriesRecorder
+from repro.obs.registry import get_registry
 from repro.types import Rating, RatingDataset, RatingStream
 
 __all__ = ["EpochReport", "OnlineRatingSystem"]
@@ -99,9 +98,6 @@ class OnlineRatingSystem:
     history:
         Optional pre-existing rating data (e.g. the pre-challenge
         history) the detectors should see from the start.
-    registry:
-        Metrics sink for this system's telemetry; ``None`` uses the
-        globally active registry at call time.
     monitor_drift:
         Run the :mod:`repro.obs.drift` assumption monitors on every
         epoch close (default on).
@@ -109,10 +105,10 @@ class OnlineRatingSystem:
         Monitor tunables; ``None`` uses the calibrated defaults.  When
         its ``fair_mean`` is unset the monitor calibrates from
         ``history`` (or self-calibrates on the first monitored window).
-    series_recorder:
-        Explicit :class:`~repro.obs.series.TimeSeriesRecorder` snapshotted
-        at every epoch close; ``None`` falls back to the recorder attached
-        to the effective registry (if any).
+
+    Telemetry goes to the registry active at call time; each epoch close
+    snapshots it into the :class:`~repro.obs.series.TimeSeriesRecorder`
+    attached to it (if any).
     """
 
     def __init__(
@@ -121,17 +117,14 @@ class OnlineRatingSystem:
         start_day: float = 0.0,
         period_days: float = 30.0,
         history: Optional[RatingDataset] = None,
-        registry: Optional[MetricsRegistry] = None,
         monitor_drift: bool = True,
         drift_config: Optional[DriftMonitorConfig] = None,
-        series_recorder: Optional[TimeSeriesRecorder] = None,
     ) -> None:
         if period_days <= 0:
             raise ValidationError(f"period_days must be > 0, got {period_days}")
         self.scheme = scheme
         self.start_day = float(start_day)
         self.period_days = float(period_days)
-        self._registry = registry
         self._buffers: Dict[str, List[Rating]] = {}
         self._history_floor = self.start_day
         if history is not None:
@@ -143,23 +136,15 @@ class OnlineRatingSystem:
                     )
         self.drift_monitor: Optional[DriftMonitor] = None
         if monitor_drift:
-            self.drift_monitor = DriftMonitor(
-                config=drift_config, registry=registry
-            )
+            self.drift_monitor = DriftMonitor(config=drift_config)
             if history is not None and history.total_ratings():
                 self.drift_monitor.calibrate(history)
-        self._series_recorder = series_recorder
         self._epochs_closed = 0
         self._ingested_this_epoch = 0
         # Late arrivals keyed by the epoch index their timestamp lands in.
         self._late_by_epoch: Dict[int, int] = {}
         self._late_total = 0
         self._reports: List[EpochReport] = []
-
-    @property
-    def registry(self) -> MetricsRegistry:
-        """The metrics sink in effect (injected, else the global one)."""
-        return self._registry if self._registry is not None else get_registry()
 
     # ------------------------------------------------------------------ #
     # Ingestion
@@ -192,10 +177,10 @@ class OnlineRatingSystem:
             landing = self._epoch_index_of(rating.time)
             self._late_by_epoch[landing] = self._late_by_epoch.get(landing, 0) + 1
             self._late_total += 1
-            self.registry.inc("online.late_ratings")
+            get_registry().inc("online.late_ratings")
         self._buffers.setdefault(rating.product_id, []).append(rating)
         self._ingested_this_epoch += 1
-        self.registry.inc("online.ratings_ingested")
+        get_registry().inc("online.ratings_ingested")
         return published
 
     def submit_many(self, ratings) -> List[EpochReport]:
@@ -252,7 +237,7 @@ class OnlineRatingSystem:
             "scheme_seconds": scheme_seconds,
             "drift_warnings": float(len(drift_warnings)),
         }
-        registry = self.registry
+        registry = get_registry()
         registry.inc("online.epochs_closed")
         registry.observe("online.scheme_seconds", scheme_seconds)
         registry.set_gauge("online.products", float(len(self._buffers)))
@@ -261,11 +246,7 @@ class OnlineRatingSystem:
         # recorder also drives the alert engine, whose events ride on the
         # published report.
         alerts: Tuple[AlertEvent, ...] = ()
-        recorder = (
-            self._series_recorder
-            if self._series_recorder is not None
-            else registry.series
-        )
+        recorder = registry.series
         if recorder is not None:
             alerts = tuple(recorder.record_epoch(self._epochs_closed, registry))
         report = EpochReport(

@@ -16,12 +16,12 @@ trust value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ValidationError
-from repro.obs.registry import MetricsRegistry, get_registry
+from repro.obs.registry import get_registry
 from repro.trust.beta import BetaEvidence
 from repro.types import RatingDataset
 
@@ -66,7 +66,6 @@ class TrustManager:
         self,
         initial_trust: float = 0.5,
         forgetting_factor: float = 1.0,
-        registry: Optional[MetricsRegistry] = None,
     ) -> None:
         if not 0.0 < initial_trust < 1.0:
             raise ValidationError(
@@ -78,13 +77,7 @@ class TrustManager:
             )
         self.initial_trust = initial_trust
         self.forgetting_factor = forgetting_factor
-        self._registry = registry
         self._evidence: Dict[str, BetaEvidence] = {}
-
-    @property
-    def registry(self) -> MetricsRegistry:
-        """The metrics sink in effect (injected, else the global one)."""
-        return self._registry if self._registry is not None else get_registry()
 
     # ------------------------------------------------------------------ #
 
@@ -167,7 +160,7 @@ class TrustManager:
             self.record_epoch({rid: (n, f) for rid, (n, f) in counts.items()})
             snapshots.append(self.snapshot(epoch_time))
             previous = epoch_time
-        registry = self.registry
+        registry = get_registry()
         if registry.enabled:
             # Procedure 1 telemetry: how many epochs ran, how many raters
             # hold evidence, and where the final trust mass sits.

@@ -23,18 +23,17 @@ from repro.obs import (
     MetricsRegistry,
     TimeSeriesRecorder,
     load_rules,
+    use_registry,
 )
 
 
 def replay_with_default_rules(challenge, submission=None):
     """Online replay with the shipped ruleset attached; returns engine."""
     registry = MetricsRegistry()
-    engine = AlertEngine(load_rules(DEFAULT_RULES_PATH), registry=registry)
-    recorder = TimeSeriesRecorder(engine=engine)
-    registry.attach_series(recorder)
-    challenge.replay_online(
-        PScheme(), submission=submission, registry=registry
-    )
+    engine = AlertEngine(load_rules(DEFAULT_RULES_PATH))
+    registry.attach_series(TimeSeriesRecorder(engine=engine))
+    with use_registry(registry):
+        challenge.replay_online(PScheme(), submission=submission)
     return engine
 
 
@@ -73,5 +72,10 @@ class TestDefaultRulesetBehavior:
         # The burst lands inside epoch 1's window and is flagged the
         # epoch it completes: detection latency is reported in epochs.
         event = firing["drift-warnings-moving"]
+        assert event.epoch == 1
+        assert event.latency_epochs == 0
+        # The detector's quality.* scorecards reach the same registry as
+        # the drift counters, so the attack rule fires alongside them.
+        event = firing["quality-attack-detected"]
         assert event.epoch == 1
         assert event.latency_epochs == 0

@@ -16,7 +16,7 @@ from repro.experiments.figures import (
     run_headline_comparison,
     run_region_search_figure,
 )
-from repro.obs import MetricsRegistry, set_registry
+from repro.obs import MetricsRegistry, set_registry, use_registry
 
 SEED = 2008
 POP = 6
@@ -114,18 +114,17 @@ class TestCacheDeterminism:
             assert_mp_results_equal(cold[sid], warm[sid])
 
     def test_cache_hit_equals_cold_evaluation(self, tmp_path):
-        cache = MPCache(cache_dir=tmp_path, registry=MetricsRegistry())
-        evaluator = ParallelEvaluator(
-            workers=0, cache=cache, registry=MetricsRegistry()
-        )
+        cache = MPCache(cache_dir=tmp_path)
+        evaluator = ParallelEvaluator(workers=0, cache=cache)
         from repro.exec import PopulationEvalTask
 
         task = PopulationEvalTask(
             root_seed=SEED, population_size=2, scheme_name="SA", index=0
         )
-        cold = evaluator.map([task])[0]
-        cache.clear_memory()
-        warm = evaluator.map([task])[0]
+        with use_registry(MetricsRegistry()):
+            cold = evaluator.map([task])[0]
+            cache.clear_memory()
+            warm = evaluator.map([task])[0]
         assert_mp_results_equal(cold, warm)
 
 

@@ -34,10 +34,10 @@ def detector_workload(population_size, registry, profile=False, hz=97):
     population = generate_population(
         challenge, PopulationConfig(size=population_size), seed=SEED + 1
     )
-    detector = JointDetector(registry=registry)
+    detector = JointDetector()
     with use_registry(registry):
         if profile:
-            with SpanProfiler(registry, hz=hz):
+            with SpanProfiler(hz=hz):
                 for submission in population:
                     dataset = challenge.attacked_dataset(submission)
                     for product_id in dataset:

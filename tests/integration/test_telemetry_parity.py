@@ -319,7 +319,6 @@ class TestSeriesAlertParity:
                     resolve_epochs=1,
                 ),
             ],
-            registry=registry,
         )
         recorder = TimeSeriesRecorder(engine=engine)
         registry.attach_series(recorder)

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.detectors import DetectorConfig, JointDetector
 from repro.errors import ValidationError
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, use_registry
 from repro.signal.ar import fit_ar_covariance
 from repro.signal.clustering import two_cluster_split_1d
 from repro.signal.curves import (
@@ -348,12 +348,14 @@ class TestAnalyzeBatchEquivalence:
     def _assert_batch_matches_serial(dataset):
         serial_registry = MetricsRegistry()
         batch_registry = MetricsRegistry()
-        serial = JointDetector(registry=serial_registry)
-        batched = JointDetector(registry=batch_registry)
-        expected = {
-            pid: serial.analyze(dataset[pid]) for pid in dataset
-        }
-        got = batched.analyze_batch(dataset)
+        serial = JointDetector()
+        batched = JointDetector()
+        with use_registry(serial_registry):
+            expected = {
+                pid: serial.analyze(dataset[pid]) for pid in dataset
+            }
+        with use_registry(batch_registry):
+            got = batched.analyze_batch(dataset)
         assert list(got) == list(expected)
         for pid in dataset:
             a, b = expected[pid], got[pid]
@@ -386,7 +388,7 @@ class TestAnalyzeBatchEquivalence:
             RatingStream("empty", [], [], []),
         ]
         registry = MetricsRegistry()
-        detector = JointDetector(config, registry=registry)
-        reports = detector.analyze_batch(RatingDataset(streams))
+        with use_registry(registry):
+            reports = JointDetector(config).analyze_batch(RatingDataset(streams))
         assert all(not r.suspicious.any() for r in reports.values())
         assert registry.counter_value("detector.short_streams") == 2

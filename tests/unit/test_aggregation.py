@@ -9,7 +9,7 @@ from repro.aggregation.pscheme import PScheme, PSchemeConfig
 from repro.aggregation.simple import SimpleAveragingScheme
 from repro.aggregation.weighted import trust_weighted_average
 from repro.errors import EmptyDataError, ValidationError
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import MetricsRegistry, get_registry, use_registry
 from repro.types import RatingDataset, RatingStream
 
 
@@ -198,24 +198,29 @@ def noisy_stream(product_id="p", n=60, seed=0):
 class TestReportCacheKeys:
     """The P-scheme's report cache matches streams by value, LRU-evicted."""
 
-    def counters(self, scheme):
+    @pytest.fixture(autouse=True)
+    def registry(self):
+        with use_registry(MetricsRegistry()) as registry:
+            yield registry
+
+    def counters(self):
         return {
-            name: scheme.registry.counter_value(f"pscheme.report_cache.{name}")
+            name: get_registry().counter_value(f"pscheme.report_cache.{name}")
             for name in ("hits", "misses", "evictions")
         }
 
     def test_equal_content_in_a_new_object_hits(self):
-        scheme = PScheme(registry=MetricsRegistry())
+        scheme = PScheme()
         stream = noisy_stream()
         scheme.detect(RatingDataset([stream]))
         copy = RatingStream("p", stream.times.copy(), stream.values.copy(),
                             list(stream.rater_ids))
         scheme.detect(RatingDataset([copy]))
-        assert self.counters(scheme) == {"hits": 1, "misses": 1, "evictions": 0}
+        assert self.counters() == {"hits": 1, "misses": 1, "evictions": 0}
 
     @pytest.mark.parametrize("change", ["value", "rater"])
     def test_single_difference_misses(self, change):
-        scheme = PScheme(registry=MetricsRegistry())
+        scheme = PScheme()
         stream = noisy_stream()
         scheme.detect(RatingDataset([stream]))
         values = stream.values.copy()
@@ -226,24 +231,23 @@ class TestReportCacheKeys:
             raters[17] = "intruder"
         changed = RatingStream("p", stream.times, values, raters)
         marks = scheme.detect(RatingDataset([changed]))
-        assert self.counters(scheme)["misses"] == 2
-        fresh = PScheme(registry=MetricsRegistry()).detect(RatingDataset([changed]))
+        assert self.counters()["misses"] == 2
+        fresh = PScheme().detect(RatingDataset([changed]))
         assert np.array_equal(marks["p"], fresh["p"])
 
-    def test_fair_reports_survive_more_inserts_than_capacity(self):
-        reg = MetricsRegistry()
-        scheme = PScheme(registry=reg)
+    def test_fair_reports_survive_more_inserts_than_capacity(self, registry):
+        scheme = PScheme()
         capacity = max(4 * scheme.config.cache_size, 64)
         fair = noisy_stream("fair")
         attacks = capacity + 16
         for i in range(attacks):
             attacked = noisy_stream("target", n=6, seed=i + 1)
             scheme.detect(RatingDataset([fair, attacked]))
-        assert self.counters(scheme) == {
+        assert self.counters() == {
             "hits": attacks - 1,
             "misses": attacks + 1,
             "evictions": attacks + 1 - capacity,
         }
         # Only the fair stream is long enough to reach the detectors: it
         # ran through them once, on its first miss.
-        assert reg.counter_value("detector.joint.calls") == 1
+        assert registry.counter_value("detector.joint.calls") == 1

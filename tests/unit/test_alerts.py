@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.errors import ValidationError
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, use_registry
 from repro.obs.alerts import (
     DEFAULT_RULES_PATH,
     AlertEngine,
@@ -98,7 +98,7 @@ class TestEngineHysteresis:
         rule = AlertRule(
             name="r", metric="m", op=">", value=0.0, for_epochs=2
         )
-        engine = AlertEngine([rule], registry=MetricsRegistry())
+        engine = AlertEngine([rule])
         recorder = TimeSeriesRecorder()
         recorder.ingest_snapshot(0, {"m": 1.0})
         assert engine.evaluate(recorder, 0) == []  # breach 1: not yet
@@ -112,7 +112,7 @@ class TestEngineHysteresis:
         rule = AlertRule(
             name="r", metric="m", op=">", value=0.0, resolve_epochs=2
         )
-        engine = AlertEngine([rule], registry=MetricsRegistry())
+        engine = AlertEngine([rule])
         recorder = TimeSeriesRecorder()
         recorder.ingest_snapshot(0, {"m": 1.0})
         assert [e.state for e in engine.evaluate(recorder, 0)] == ["firing"]
@@ -128,7 +128,7 @@ class TestEngineHysteresis:
         rule = AlertRule(
             name="r", metric="m", op=">", value=0.0, for_epochs=2
         )
-        engine = AlertEngine([rule], registry=MetricsRegistry())
+        engine = AlertEngine([rule])
         recorder = TimeSeriesRecorder()
         for epoch, value in enumerate([1.0, 0.0, 1.0]):
             recorder.ingest_snapshot(epoch, {"m": value})
@@ -139,10 +139,11 @@ class TestEngineHysteresis:
     def test_alert_metrics_emitted(self):
         registry = MetricsRegistry()
         rule = AlertRule(name="r", metric="m", op=">", value=0.0)
-        engine = AlertEngine([rule], registry=registry)
+        engine = AlertEngine([rule])
         recorder = TimeSeriesRecorder()
         recorder.ingest_snapshot(0, {"m": 1.0})
-        engine.evaluate(recorder, 0)
+        with use_registry(registry):
+            engine.evaluate(recorder, 0)
         assert registry.counter_value("alert.evaluations") == 1.0
         assert registry.counter_value("alert.events") == 1.0
         assert registry.counter_value("alert.firing") == 1.0
@@ -160,7 +161,7 @@ class TestEngineHysteresis:
 
     def test_event_as_dict_is_json_serializable(self):
         rule = AlertRule(name="r", metric="m", op=">", value=0.0)
-        engine = AlertEngine([rule], registry=MetricsRegistry())
+        engine = AlertEngine([rule])
         recorder = TimeSeriesRecorder()
         recorder.ingest_snapshot(0, {"m": 1.0})
         (event,) = engine.evaluate(recorder, 0)

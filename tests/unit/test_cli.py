@@ -412,6 +412,27 @@ class TestMetricsStreamFlag:
         assert len(snapshots) == 1
         assert snapshots[0][0] == 0
 
+    def test_closing_snapshot_metrics_reach_metrics_out(self, tmp_path):
+        # The epoch-less closing snapshot (and its alert evaluation) is
+        # taken while the invocation's registry is active, so both show
+        # up in --metrics-out.
+        metrics = tmp_path / "m.json"
+        code = main(
+            ["population", "--seed", "7", "--size", "2", "--scheme", "SA",
+             "--top", "1",
+             "--metrics-stream", str(tmp_path / "s.jsonl"),
+             "--metrics-out", str(metrics)]
+        )
+        assert code == 0
+        from repro.obs import DEFAULT_RULES_PATH, load_rules
+
+        counters = json.loads(metrics.read_text())["counters"]
+        # One evaluation of every default rule, from one snapshot.
+        assert counters["alert.evaluations"] == len(
+            load_rules(DEFAULT_RULES_PATH)
+        )
+        assert counters["series.snapshots"] == 1
+
     def test_report_streams_one_snapshot_per_epoch(self, tmp_path):
         stream = tmp_path / "stream.jsonl"
         code = main(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ValidationError
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, use_registry
 from repro.obs.drift import (
     DriftMonitor,
     DriftMonitorConfig,
@@ -90,9 +90,10 @@ class TestDriftMonitorConfig:
 class TestDriftMonitor:
     def test_fair_poisson_stream_stays_silent(self):
         registry = MetricsRegistry()
-        monitor = DriftMonitor(registry=registry)
+        monitor = DriftMonitor()
         stream = poisson_stream(seed=1)
-        warnings = monitor.check_stream(stream, 0.0, 60.0)
+        with use_registry(registry):
+            warnings = monitor.check_stream(stream, 0.0, 60.0)
         assert warnings == []
         assert registry.counter_value("drift.checks") == 1
         assert registry.counter_value("drift.warnings") == 0
@@ -133,9 +134,10 @@ class TestDriftMonitor:
 
     def test_below_min_ratings_skips_silently(self):
         registry = MetricsRegistry()
-        monitor = DriftMonitor(registry=registry)
+        monitor = DriftMonitor()
         tiny = RatingStream("p", [1.0, 2.0], [4.0, 4.0], ["a", "b"])
-        assert monitor.check_stream(tiny, 0.0, 60.0) == []
+        with use_registry(registry):
+            assert monitor.check_stream(tiny, 0.0, 60.0) == []
         assert registry.counter_value("drift.checks") == 0
 
     def test_self_calibration_on_first_window(self):
@@ -151,23 +153,21 @@ class TestDriftMonitor:
 
     def test_violation_counters_per_kind(self):
         registry = MetricsRegistry()
-        monitor = DriftMonitor(
-            config=DriftMonitorConfig(fair_mean=4.0), registry=registry
-        )
-        monitor.check_stream(poisson_stream(seed=8, mean=2.0), 0.0, 60.0)
+        monitor = DriftMonitor(config=DriftMonitorConfig(fair_mean=4.0))
+        with use_registry(registry):
+            monitor.check_stream(poisson_stream(seed=8, mean=2.0), 0.0, 60.0)
         assert registry.counter_value("drift.mean.violations") >= 1
         assert registry.counter_value("drift.warnings") >= 1
 
     def test_check_epoch_covers_every_product(self):
         registry = MetricsRegistry()
-        monitor = DriftMonitor(
-            config=DriftMonitorConfig(fair_mean=4.0), registry=registry
-        )
+        monitor = DriftMonitor(config=DriftMonitorConfig(fair_mean=4.0))
         dataset = RatingDataset(
             [poisson_stream(seed=9, product="a"),
              poisson_stream(seed=10, product="b")]
         )
-        monitor.check_epoch(dataset, 0.0, 60.0)
+        with use_registry(registry):
+            monitor.check_epoch(dataset, 0.0, 60.0)
         assert registry.counter_value("drift.checks") == 2
 
     def test_warning_str_is_informative(self):

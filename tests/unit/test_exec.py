@@ -21,7 +21,7 @@ from repro.exec import (
 )
 from repro.exec.cache import CACHE_SCHEMA_VERSION
 from repro.marketplace.challenge import RatingChallenge
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import MetricsRegistry, use_registry
 
 
 # --------------------------------------------------------------------- #
@@ -116,18 +116,25 @@ class TestDeriveSeed:
 # --------------------------------------------------------------------- #
 
 
+@pytest.fixture
+def reg():
+    """A fresh collecting registry, active for the whole test."""
+    with use_registry(MetricsRegistry()) as registry:
+        yield registry
+
+
+@pytest.mark.usefixtures("reg")
 class TestMPCache:
     def test_memory_roundtrip(self):
-        cache = MPCache(registry=MetricsRegistry())
+        cache = MPCache()
         hit, _ = cache.get("k")
         assert not hit
         cache.put("k", {"v": 1})
         hit, value = cache.get("k")
         assert hit and value == {"v": 1}
 
-    def test_disk_roundtrip_and_metrics(self, tmp_path):
-        reg = MetricsRegistry()
-        cache = MPCache(cache_dir=tmp_path, registry=reg)
+    def test_disk_roundtrip_and_metrics(self, tmp_path, reg):
+        cache = MPCache(cache_dir=tmp_path)
         cache.put("a", [1, 2, 3])
         cache.clear_memory()
         assert len(cache) == 0
@@ -137,25 +144,23 @@ class TestMPCache:
         assert reg.counter_value("exec.cache.puts") == 1
 
     def test_second_process_would_see_entry(self, tmp_path):
-        MPCache(cache_dir=tmp_path, registry=MetricsRegistry()).put("a", 41)
-        fresh = MPCache(cache_dir=tmp_path, registry=MetricsRegistry())
+        MPCache(cache_dir=tmp_path).put("a", 41)
+        fresh = MPCache(cache_dir=tmp_path)
         hit, value = fresh.get("a")
         assert hit and value == 41
 
-    def test_corrupt_entry_is_a_miss(self, tmp_path):
-        reg = MetricsRegistry()
-        cache = MPCache(cache_dir=tmp_path, registry=reg)
+    def test_corrupt_entry_is_a_miss(self, tmp_path, reg):
+        cache = MPCache(cache_dir=tmp_path)
         (tmp_path / "bad.pkl").write_bytes(b"not a pickle")
         hit, _ = cache.get("bad")
         assert not hit
         assert reg.counter_value("exec.cache.misses") == 1
         assert reg.counter_value("exec.cache.corrupt") == 1
 
-    def test_corrupt_entries_counted_but_warned_once(self, tmp_path):
+    def test_corrupt_entries_counted_but_warned_once(self, tmp_path, reg):
         import logging
 
-        reg = MetricsRegistry()
-        cache = MPCache(cache_dir=tmp_path, registry=reg)
+        cache = MPCache(cache_dir=tmp_path)
         for name in ("bad1", "bad2", "bad3"):
             (tmp_path / f"{name}.pkl").write_bytes(b"torn")
         # Listen on the module logger directly: the repro tree does not
@@ -177,16 +182,15 @@ class TestMPCache:
         warnings = [r for r in records if "unreadable" in r.getMessage()]
         assert len(warnings) == 1
 
-    def test_missing_entry_is_not_counted_corrupt(self, tmp_path):
-        reg = MetricsRegistry()
-        cache = MPCache(cache_dir=tmp_path, registry=reg)
+    def test_missing_entry_is_not_counted_corrupt(self, tmp_path, reg):
+        cache = MPCache(cache_dir=tmp_path)
         hit, _ = cache.get("never-written")
         assert not hit
         assert reg.counter_value("exec.cache.corrupt") == 0
         assert reg.counter_value("exec.cache.misses") == 1
 
     def test_entry_is_a_keyed_envelope(self, tmp_path):
-        MPCache(cache_dir=tmp_path, registry=MetricsRegistry()).put("a", 2.5)
+        MPCache(cache_dir=tmp_path).put("a", 2.5)
         with open(tmp_path / "a.pkl", "rb") as handle:
             assert pickle.load(handle) == (CACHE_SCHEMA_VERSION, "a", 2.5)
 
@@ -200,51 +204,42 @@ class TestMPCache:
             (np.arange(2), "a", 2.5),  # version that is not an int
         ],
     )
-    def test_invalid_envelope_is_recomputed(self, tmp_path, payload):
-        reg = MetricsRegistry()
+    def test_invalid_envelope_is_recomputed(self, tmp_path, payload, reg):
         with open(tmp_path / "a.pkl", "wb") as handle:
             pickle.dump(payload, handle)
-        cache = MPCache(cache_dir=tmp_path, registry=reg)
+        cache = MPCache(cache_dir=tmp_path)
         assert cache.get("a", float) == (False, None)
         assert reg.counter_value("exec.cache.corrupt") == 1
         assert reg.counter_value("exec.cache.misses") == 1
 
-    def test_wrong_value_type_task_is_recomputed(self, tmp_path):
+    def test_wrong_value_type_task_is_recomputed(self, tmp_path, reg):
         task = _SquareTask(3)
         with open(tmp_path / f"{task.fingerprint}.pkl", "wb") as handle:
             pickle.dump((CACHE_SCHEMA_VERSION, task.fingerprint, "81"), handle)
-        reg = MetricsRegistry()
-        evaluator = ParallelEvaluator(
-            workers=0, cache=MPCache(cache_dir=tmp_path, registry=reg), registry=reg
-        )
+        evaluator = ParallelEvaluator(workers=0, cache=MPCache(cache_dir=tmp_path))
         assert evaluator.map([task]) == [9]
         assert reg.counter_value("exec.cache.corrupt") == 1
 
-    def test_entry_copied_under_another_fingerprint_is_recomputed(self, tmp_path):
+    def test_entry_copied_under_another_fingerprint_is_recomputed(
+        self, tmp_path, reg
+    ):
         stored, other = _SquareTask(4), _SquareTask(5)
-        seed = ParallelEvaluator(
-            workers=0,
-            cache=MPCache(cache_dir=tmp_path, registry=MetricsRegistry()),
-            registry=MetricsRegistry(),
-        )
+        seed = ParallelEvaluator(workers=0, cache=MPCache(cache_dir=tmp_path))
         assert seed.map([stored]) == [16]
         (tmp_path / f"{other.fingerprint}.pkl").write_bytes(
             (tmp_path / f"{stored.fingerprint}.pkl").read_bytes()
         )
         _CALLS.clear()
-        reg = MetricsRegistry()
-        evaluator = ParallelEvaluator(
-            workers=0, cache=MPCache(cache_dir=tmp_path, registry=reg), registry=reg
-        )
+        evaluator = ParallelEvaluator(workers=0, cache=MPCache(cache_dir=tmp_path))
         assert evaluator.map([other]) == [25]
         assert _CALLS == [5]
         assert reg.counter_value("exec.cache.corrupt") == 1
         # The recomputed value replaced the foreign entry on disk.
-        fresh = MPCache(cache_dir=tmp_path, registry=MetricsRegistry())
+        fresh = MPCache(cache_dir=tmp_path)
         assert fresh.get(other.fingerprint, int) == (True, 25)
 
     def test_atomic_write_leaves_no_temp_files(self, tmp_path):
-        cache = MPCache(cache_dir=tmp_path, registry=MetricsRegistry())
+        cache = MPCache(cache_dir=tmp_path)
         for i in range(5):
             cache.put(f"k{i}", np.arange(i))
         leftovers = [p for p in tmp_path.iterdir() if not p.name.endswith(".pkl")]
@@ -332,21 +327,19 @@ class _BoomTask(EvalTask):
         raise ValueError("boom")
 
 
+@pytest.mark.usefixtures("reg")
 class TestParallelEvaluator:
     def setup_method(self):
         _CALLS.clear()
 
     def test_serial_map_preserves_order(self):
-        evaluator = ParallelEvaluator(workers=0, registry=MetricsRegistry())
+        evaluator = ParallelEvaluator(workers=0)
         tasks = [_SquareTask(v) for v in (3, 1, 2)]
         assert evaluator.map(tasks) == [9, 1, 4]
         assert _CALLS == [3, 1, 2]
 
-    def test_cache_elides_repeat_work(self):
-        reg = MetricsRegistry()
-        evaluator = ParallelEvaluator(
-            workers=0, cache=MPCache(registry=reg), registry=reg
-        )
+    def test_cache_elides_repeat_work(self, reg):
+        evaluator = ParallelEvaluator(workers=0, cache=MPCache())
         first = evaluator.map([_SquareTask(5)])
         second = evaluator.map([_SquareTask(5)])
         assert first == second == [25]
@@ -354,23 +347,18 @@ class TestParallelEvaluator:
         assert reg.counter_value("exec.cache.hits") == 1
 
     def test_duplicate_tasks_in_one_map_hit_cache(self):
-        evaluator = ParallelEvaluator(
-            workers=0, cache=MPCache(registry=MetricsRegistry()),
-            registry=MetricsRegistry(),
-        )
+        evaluator = ParallelEvaluator(workers=0, cache=MPCache())
         assert evaluator.map([_SquareTask(2)] * 3) == [4, 4, 4]
         assert _CALLS == [2]
 
-    def test_failure_raises_execution_error(self):
-        reg = MetricsRegistry()
-        evaluator = ParallelEvaluator(workers=0, registry=reg)
+    def test_failure_raises_execution_error(self, reg):
+        evaluator = ParallelEvaluator(workers=0)
         with pytest.raises(ExecutionError, match="boom"):
             evaluator.map([_BoomTask()])
         assert reg.counter_value("exec.failures") == 1
 
-    def test_task_metrics_recorded(self):
-        reg = MetricsRegistry()
-        evaluator = ParallelEvaluator(workers=0, registry=reg)
+    def test_task_metrics_recorded(self, reg):
+        evaluator = ParallelEvaluator(workers=0)
         evaluator.map([_SquareTask(v) for v in range(4)])
         assert reg.counter_value("exec.tasks") == 4
         assert reg.histograms["exec.task_seconds"].count == 4
@@ -382,8 +370,8 @@ class TestParallelEvaluator:
             )
             for i in range(3)
         ]
-        serial = ParallelEvaluator(workers=0, registry=MetricsRegistry()).map(tasks)
-        with ParallelEvaluator(workers=2, registry=MetricsRegistry()) as pooled:
+        serial = ParallelEvaluator(workers=0).map(tasks)
+        with ParallelEvaluator(workers=2) as pooled:
             parallel = pooled.map(tasks)
         for a, b in zip(serial, parallel):
             assert a.total == b.total
@@ -393,20 +381,19 @@ class TestParallelEvaluator:
                 assert np.array_equal(a.deltas[pid], b.deltas[pid])
 
     def test_context_manager_close_keeps_serial_path_usable(self):
-        evaluator = ParallelEvaluator(workers=0, registry=MetricsRegistry())
+        evaluator = ParallelEvaluator(workers=0)
         with evaluator:
             pass
         assert evaluator.map([_SquareTask(6)]) == [36]
 
-    def test_explicit_chunksize(self):
-        reg = MetricsRegistry()
+    def test_explicit_chunksize(self, reg):
         tasks = [
             PopulationEvalTask(
                 root_seed=13, population_size=3, scheme_name="SA", index=i
             )
             for i in range(3)
         ]
-        with ParallelEvaluator(workers=2, registry=reg, chunksize=1) as evaluator:
+        with ParallelEvaluator(workers=2, chunksize=1) as evaluator:
             evaluator.map(tasks)
         if reg.counter_value("exec.pool_fallbacks") == 0:
             assert reg.counter_value("exec.chunks") == 3

@@ -464,12 +464,11 @@ class TestAlertsInLedger:
 
         registry = MetricsRegistry()
         rule = AlertRule(name="r", metric="m", op=">", value=0.0)
-        recorder = TimeSeriesRecorder(
-            engine=AlertEngine([rule], registry=registry)
-        )
+        recorder = TimeSeriesRecorder(engine=AlertEngine([rule]))
         registry.attach_series(recorder)
-        recorder.ingest_snapshot(0, {"m": 1.0})
-        recorder.engine.evaluate(recorder, 0, registry=registry)
+        with use_registry(registry):
+            recorder.ingest_snapshot(0, {"m": 1.0})
+            recorder.engine.evaluate(recorder, 0)
         record = build_record(
             command="population", argv=["population"], registry=registry,
             timestamp=1.0,

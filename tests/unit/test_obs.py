@@ -131,9 +131,9 @@ class TestGlobalRegistry:
 class TestSpans:
     def test_nested_paths_and_records(self):
         reg = MetricsRegistry()
-        with span("outer", reg) as outer:
+        with use_registry(reg), span("outer") as outer:
             assert current_span_path() == "outer"
-            with span("inner", reg) as inner:
+            with span("inner") as inner:
                 assert current_span_path() == "outer.inner"
             assert inner.path == "outer.inner"
             assert inner.depth == 1
@@ -144,9 +144,9 @@ class TestSpans:
 
     def test_durations_monotone_under_nesting(self):
         reg = MetricsRegistry()
-        with span("parent", reg):
+        with use_registry(reg), span("parent"):
             for _ in range(3):
-                with span("child", reg):
+                with span("child"):
                     sum(range(1000))
         parent = reg.histograms["span.parent.seconds"]
         child = reg.histograms["span.parent.child.seconds"]
@@ -156,7 +156,7 @@ class TestSpans:
 
     def test_annotations_exported(self):
         reg = MetricsRegistry()
-        with span("work", reg) as record:
+        with use_registry(reg), span("work") as record:
             record.annotate(items=5)
         dump = registry_to_dict(reg)
         assert dump["spans"][0]["annotations"] == {"items": 5}
@@ -180,7 +180,7 @@ class TestExporters:
         reg.inc("c", 2)
         reg.set_gauge("g", 0.5)
         reg.observe("h", 1.5)
-        with span("s", reg):
+        with use_registry(reg), span("s"):
             pass
         out = tmp_path / "m.json"
         write_json(reg, str(out))
@@ -219,17 +219,18 @@ class TestLoggingSetup:
 class TestPSchemeTelemetry:
     def test_report_cache_counters(self):
         reg = MetricsRegistry()
-        scheme = PScheme(registry=reg)
+        scheme = PScheme()
         dataset = small_dataset()
-        scheme.detect(dataset)
-        assert reg.counter_value("pscheme.report_cache.misses") == 1
-        scheme.detect(dataset)
+        with use_registry(reg):
+            scheme.detect(dataset)
+            assert reg.counter_value("pscheme.report_cache.misses") == 1
+            scheme.detect(dataset)
         assert reg.counter_value("pscheme.report_cache.hits") == 1
 
     def test_stage_spans_recorded(self):
         reg = MetricsRegistry()
-        scheme = PScheme(registry=reg)
-        scheme.monthly_scores(small_dataset())
+        with use_registry(reg):
+            PScheme().monthly_scores(small_dataset())
         for stage in ("detect", "trust", "aggregate"):
             name = f"span.pscheme.monthly_scores.{stage}.seconds"
             assert name in reg.histograms, name
@@ -243,8 +244,8 @@ class TestPSchemeTelemetry:
 
     def test_detector_timings_recorded(self):
         reg = MetricsRegistry()
-        scheme = PScheme(registry=reg)
-        scheme.monthly_scores(small_dataset())
+        with use_registry(reg):
+            PScheme().monthly_scores(small_dataset())
         for kind in ("MC", "H-ARC", "L-ARC", "HC", "ME"):
             hist = reg.histograms[f"detector.{kind}.seconds"]
             assert hist.count >= 1
@@ -252,8 +253,8 @@ class TestPSchemeTelemetry:
 
     def test_trust_telemetry(self):
         reg = MetricsRegistry()
-        scheme = PScheme(registry=reg)
-        scheme.monthly_scores(small_dataset())
+        with use_registry(reg):
+            PScheme().monthly_scores(small_dataset())
         assert reg.counter_value("trust.epochs") >= 1
         assert reg.histograms["trust.value"].count >= 1
         assert 0.0 <= reg.histograms["trust.value"].min
@@ -342,14 +343,14 @@ class TestSearchTelemetry:
     def test_probe_counters_and_timings(self):
         reg = MetricsRegistry()
         area = SearchArea(bias_min=-4.0, bias_max=0.0, std_min=0.0, std_max=2.0)
-        result = heuristic_region_search(
-            lambda bias, std: -bias * (1.0 + std),
-            area,
-            n_subareas=4,
-            probes_per_subarea=2,
-            max_rounds=2,
-            registry=reg,
-        )
+        with use_registry(reg):
+            result = heuristic_region_search(
+                lambda bias, std: -bias * (1.0 + std),
+                area,
+                n_subareas=4,
+                probes_per_subarea=2,
+                max_rounds=2,
+            )
         probes = reg.counter_value("search.probes")
         assert probes >= 8  # 2 rounds x 4 subareas x 2 probes, plus final
         assert reg.histograms["search.probe_seconds"].count == probes
@@ -403,12 +404,12 @@ class TestSpansAcrossThreads:
         paths = {}
 
         def worker(tag):
-            with span(f"outer-{tag}", registry):
-                with span("inner", registry) as record:
+            with span(f"outer-{tag}"):
+                with span("inner") as record:
                     paths[tag] = record.path
 
         with use_registry(registry):
-            with span("main-span", registry):
+            with span("main-span"):
                 threads = [
                     threading.Thread(target=worker, args=(i,)) for i in range(2)
                 ]
@@ -425,11 +426,11 @@ class TestSpansAcrossThreads:
         from repro.obs import fresh_span_stack
 
         registry = MetricsRegistry()
-        with span("outer", registry):
+        with use_registry(registry), span("outer"):
             assert current_span_path() == "outer"
             with fresh_span_stack():
                 assert current_span_path() == ""
-                with span("task-root", registry) as record:
+                with span("task-root") as record:
                     assert record.path == "task-root"
                     assert record.depth == 0
             assert current_span_path() == "outer"

@@ -5,6 +5,7 @@ import pytest
 
 from repro.aggregation import PScheme, SimpleAveragingScheme
 from repro.errors import ValidationError
+from repro.obs import MetricsRegistry, use_registry
 from repro.online import OnlineRatingSystem
 from repro.types import Rating, RatingDataset, RatingStream
 
@@ -137,15 +138,12 @@ class TestTelemetry:
         assert report.telemetry["ratings_ingested"] == 2.0
 
     def test_metrics_registry_collection(self):
-        from repro.obs import MetricsRegistry
-
         registry = MetricsRegistry()
-        system = OnlineRatingSystem(
-            SimpleAveragingScheme(), period_days=30.0, registry=registry
-        )
-        system.submit(make_rating(5.0, 4.0))
-        system.submit(make_rating(40.0, 3.0))   # closes epoch 0
-        system.submit(make_rating(10.0, 2.0))   # late
+        system = OnlineRatingSystem(SimpleAveragingScheme(), period_days=30.0)
+        with use_registry(registry):
+            system.submit(make_rating(5.0, 4.0))
+            system.submit(make_rating(40.0, 3.0))   # closes epoch 0
+            system.submit(make_rating(10.0, 2.0))   # late
         assert registry.counter_value("online.ratings_ingested") == 3
         assert registry.counter_value("online.late_ratings") == 1
         assert registry.counter_value("online.epochs_closed") == 1
@@ -188,6 +186,18 @@ class TestWithHistoryAndPScheme:
         honest = np.mean([r.value for r in live])
         assert abs(published - honest) < abs(naive - honest)
 
+    def test_challenge_replay_records_every_layer_in_one_registry(self):
+        from repro.marketplace.challenge import RatingChallenge
+
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            system = RatingChallenge(seed=7).replay_online(PScheme())
+        assert system.reports
+        namespaces = {name.split(".")[0] for name in registry.counters}
+        assert namespaces >= {
+            "online", "drift", "pscheme", "detector", "trust", "quality"
+        }
+
     def test_report_sequence_indices(self):
         system = OnlineRatingSystem(SimpleAveragingScheme())
         for _ in range(3):
@@ -198,7 +208,7 @@ class TestWithHistoryAndPScheme:
 
 class TestEpochAlerts:
     def build_system(self, rule_value=0.0):
-        from repro.obs import AlertEngine, AlertRule, MetricsRegistry
+        from repro.obs import AlertEngine, AlertRule
         from repro.obs.series import TimeSeriesRecorder
 
         registry = MetricsRegistry()
@@ -206,19 +216,16 @@ class TestEpochAlerts:
             name="ingest-moving", metric="online.ratings_ingested",
             kind="rate_of_change", op=">", value=rule_value,
         )
-        recorder = TimeSeriesRecorder(
-            engine=AlertEngine([rule], registry=registry)
-        )
-        system = OnlineRatingSystem(
-            SimpleAveragingScheme(), period_days=30.0,
-            registry=registry, series_recorder=recorder,
-        )
+        recorder = TimeSeriesRecorder(engine=AlertEngine([rule]))
+        registry.attach_series(recorder)
+        system = OnlineRatingSystem(SimpleAveragingScheme(), period_days=30.0)
         return system, registry, recorder
 
     def test_epoch_report_carries_alerts(self):
         system, registry, recorder = self.build_system()
-        system.submit(make_rating(5.0, 4.0))
-        report = system.close_epoch()
+        with use_registry(registry):
+            system.submit(make_rating(5.0, 4.0))
+            report = system.close_epoch()
         assert [event.state for event in report.alerts] == ["firing"]
         assert report.alerts[0].rule == "ingest-moving"
         assert registry.counter_value("alert.firing") == 1.0
@@ -230,16 +237,14 @@ class TestEpochAlerts:
         assert system.close_epoch().alerts == ()
 
     def test_registry_attached_recorder_used(self):
-        # Wiring through registry.attach_series (the CLI path) is
-        # equivalent to passing series_recorder explicitly.
-        from repro.obs import MetricsRegistry
+        # The recorder attached to the active registry (the CLI path)
+        # snapshots every epoch close.
         from repro.obs.series import TimeSeriesRecorder
 
         registry = MetricsRegistry()
         registry.attach_series(TimeSeriesRecorder())
-        system = OnlineRatingSystem(
-            SimpleAveragingScheme(), period_days=30.0, registry=registry
-        )
-        system.submit(make_rating(5.0, 4.0))
-        system.close_epoch()
+        system = OnlineRatingSystem(SimpleAveragingScheme(), period_days=30.0)
+        with use_registry(registry):
+            system.submit(make_rating(5.0, 4.0))
+            system.close_epoch()
         assert registry.series.series("online.epochs_closed") == [(0, 1.0)]

@@ -53,7 +53,7 @@ class TestSampling:
     def test_samples_attribute_to_the_open_span(self):
         registry = MetricsRegistry()
         with use_registry(registry):
-            with SpanProfiler(registry, hz=250) as profiler:
+            with SpanProfiler(hz=250) as profiler:
                 with span("unit.hot"):
                     busy(0.25)
         assert sum(profiler.samples.values()) > 0
@@ -74,8 +74,8 @@ class TestSampling:
 
     def test_stop_flushes_samples_and_metrics_into_registry(self):
         registry = MetricsRegistry()
-        with SpanProfiler(registry, hz=250):
-            with use_registry(registry), span("unit.flush"):
+        with use_registry(registry), SpanProfiler(hz=250):
+            with span("unit.flush"):
                 busy(0.1)
         assert registry.profile
         assert registry.counter_value("profile.samples") == pytest.approx(
@@ -85,7 +85,7 @@ class TestSampling:
         assert registry_hz(registry) == 250.0
 
     def test_stop_is_idempotent_and_start_returns_self(self):
-        profiler = SpanProfiler(MetricsRegistry(), hz=100)
+        profiler = SpanProfiler(hz=100)
         assert profiler.start() is profiler
         assert profiler.running
         first = profiler.stop()
@@ -94,14 +94,14 @@ class TestSampling:
 
     def test_rejects_nonpositive_hz(self):
         with pytest.raises(ValidationError, match="hz must be positive"):
-            SpanProfiler(MetricsRegistry(), hz=0)
+            SpanProfiler(hz=0)
 
     def test_inner_profiler_wins_over_outer(self):
         # When the execution engine starts a per-task profiler under a
         # CLI-level one, only the innermost records: the outer must not
         # double-count the same threads.
-        outer = SpanProfiler(MetricsRegistry(), hz=100).start()
-        inner = SpanProfiler(MetricsRegistry(), hz=100).start()
+        outer = SpanProfiler(hz=100).start()
+        inner = SpanProfiler(hz=100).start()
         try:
             outer._sample_once()
             assert outer.samples == {}
@@ -112,7 +112,7 @@ class TestSampling:
             outer.stop()
 
     def test_unattributed_samples_use_the_dash_span(self):
-        profiler = SpanProfiler(MetricsRegistry(), hz=100).start()
+        profiler = SpanProfiler(hz=100).start()
         try:
             profiler._sample_once()  # no span open on this thread
         finally:
@@ -131,7 +131,7 @@ class TestSampling:
         monkeypatch.setattr(
             profile_module, "span_stack_snapshot", lambda: next(reads)
         )
-        profiler = SpanProfiler(MetricsRegistry(), hz=100)
+        profiler = SpanProfiler(hz=100)
         profiler._sample_once()
         assert profiler.samples == {}
         profiler._sample_once()
@@ -141,9 +141,9 @@ class TestSampling:
     def test_no_samples_once_stop_is_requested(self):
         # stop() sets the event and joins the sampler: a sample taken
         # then would only show the profiler's own teardown.
-        profiler = SpanProfiler(MetricsRegistry(), hz=100)
+        profiler = SpanProfiler(hz=100)
         profiler._stop_event.set()
-        with span("work", MetricsRegistry()):
+        with use_registry(MetricsRegistry()), span("work"):
             profiler._sample_once()
         assert profiler.samples == {}
 
@@ -151,14 +151,14 @@ class TestSampling:
 class TestEnablement:
     def test_disabled_is_the_default_and_task_profiler_is_none(self):
         assert not profiling_enabled()
-        assert maybe_task_profiler(MetricsRegistry()) is None
+        assert maybe_task_profiler() is None
 
     def test_enable_then_disable_round_trip(self):
         enable_profiling(hz=123)
         try:
             assert profiling_enabled()
             assert profiling_hz() == 123
-            profiler = maybe_task_profiler(MetricsRegistry())
+            profiler = maybe_task_profiler()
             assert profiler is not None
             assert profiler.running
             assert profiler.hz == 123
