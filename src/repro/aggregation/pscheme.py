@@ -82,10 +82,6 @@ class PSchemeConfig:
         the scheme to *filter-only*: every rating the detectors marked is
         dropped and the survivors are averaged without trust -- isolating
         how much the trust layer contributes beyond raw detection.
-    cache_size:
-        Sizes the per-stream detection report cache, which keeps the
-        ``max(4 * cache_size, 64)`` most recently used trust-free
-        detection reports.
     """
 
     detector: DetectorConfig = field(default_factory=DetectorConfig)
@@ -94,7 +90,6 @@ class PSchemeConfig:
     two_pass: bool = False
     use_trust_weights: bool = True
     forgetting_factor: float = 1.0
-    cache_size: int = 32
 
     def __post_init__(self) -> None:
         if not 0.0 < self.initial_trust < 1.0:
@@ -110,8 +105,6 @@ class PSchemeConfig:
                 "filter_trust_threshold must be in [0, 1], got "
                 f"{self.filter_trust_threshold}"
             )
-        if self.cache_size < 0:
-            raise ValidationError(f"cache_size must be >= 0, got {self.cache_size}")
 
 
 def _stream_key(stream: RatingStream) -> tuple:
@@ -128,6 +121,10 @@ class PScheme(AggregationScheme):
     """The proposed reliable rating aggregation system."""
 
     name = "P"
+
+    #: Trust-free detection reports kept per instance (least recently
+    #: used evicted first).
+    report_cache_size = 128
 
     def __init__(self, config: Optional[PSchemeConfig] = None) -> None:
         self.config = config if config is not None else PSchemeConfig()
@@ -185,7 +182,7 @@ class PScheme(AggregationScheme):
                 mask = reports[stream.product_id].suspicious
                 mask.setflags(write=False)
                 self._report_cache[keys[stream.product_id]] = mask
-                while len(self._report_cache) > max(4 * self.config.cache_size, 64):
+                while len(self._report_cache) > self.report_cache_size:
                     self._report_cache.popitem(last=False)
                     registry.inc("pscheme.report_cache.evictions")
                 marks[stream.product_id] = mask

@@ -69,7 +69,9 @@ rendering whatever its registry collected.
 ``lint`` runs :mod:`repro.lint`, the AST-based invariant checker that
 machine-verifies the determinism contract (seeded RNGs, pickle-safe task
 payloads, catalogued metric names, wall-clock hygiene, span balance,
-ordered iteration near fingerprints); see ``docs/LINT.md``.
+ordered iteration near fingerprints); every argument after ``lint`` goes
+to ``python -m repro.lint`` unchanged, so the two take the same options.
+See ``docs/LINT.md``.
 
 Exit status is 0 on success, 1 on a detected regression (``runs check``)
 or a non-baselined lint finding, 2 on argument errors, 3 when ``runs
@@ -375,67 +377,13 @@ def build_parser() -> argparse.ArgumentParser:
              "JSON profiler lane",
     )
 
-    lint = add_parser(
-        "lint", help="run the AST-based invariant checker (repro.lint)"
-    )
-    lint.add_argument(
-        "lint_paths", nargs="*", metavar="PATH",
-        help="files or directories to lint (default: src, else .)",
-    )
-    lint.add_argument(
-        "--json", dest="lint_json", metavar="PATH", default=None,
-        help="also write the findings as structured JSON to PATH",
-    )
-    lint.add_argument(
-        "--baseline", dest="lint_baseline", metavar="PATH", default=None,
-        help="baseline file of accepted findings "
-             "(default: .repro-lint-baseline.json when it exists)",
-    )
-    lint.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore any baseline file; report every finding",
-    )
-    lint.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite the baseline from the current findings and exit 0",
-    )
-    lint.add_argument(
-        "--select", dest="lint_select", metavar="IDS", default=None,
-        help="comma-separated rule ids to run (default: all)",
-    )
-    lint.add_argument(
-        "--ignore", dest="lint_ignore", metavar="IDS", default=None,
-        help="comma-separated rule ids to skip",
-    )
-    lint.add_argument(
-        "--no-stale", action="store_true",
-        help="skip the metric-stale direction (for partial trees)",
-    )
-    lint.add_argument(
-        "--sarif", dest="lint_sarif", metavar="PATH", default=None,
-        help="also write the findings as a SARIF 2.1.0 report to PATH",
-    )
-    lint.add_argument(
-        "--cache", dest="lint_cache", metavar="PATH", default=None,
-        help="per-module analysis cache file "
-             "(default: .repro-lint-cache.json)",
-    )
-    lint.add_argument(
-        "--no-cache", action="store_true",
-        help="do not read or write the analysis cache",
-    )
-    lint.add_argument(
-        "--changed-only", action="store_true",
-        help="check only modules touched in git diff plus their "
-             "reverse-dependency closure",
-    )
-    lint.add_argument(
-        "--diff-base", dest="lint_diff_base", metavar="REF", default=None,
-        help="git ref --changed-only diffs against (default: HEAD)",
-    )
-    lint.add_argument(
-        "--list-rules", action="store_true",
-        help="print the rule catalog and exit",
+    # ``lint`` owns its options: main() hands everything after the
+    # subcommand name to repro.lint.main unparsed (so ``repro-rating lint
+    # --help`` prints repro.lint's own help); registered here for the
+    # subcommand listing only.
+    sub.add_parser(
+        "lint", add_help=False,
+        help="run the AST-based invariant checker (repro.lint)",
     )
 
     monitor = add_parser(
@@ -953,39 +901,6 @@ def _cmd_report(args) -> int:
             set_registry(previous)
 
 
-def _cmd_lint(args) -> int:
-    from repro.lint import main as lint_main
-
-    forwarded = list(args.lint_paths)
-    if args.lint_json:
-        forwarded += ["--json", args.lint_json]
-    if args.lint_baseline:
-        forwarded += ["--baseline", args.lint_baseline]
-    if args.no_baseline:
-        forwarded.append("--no-baseline")
-    if args.update_baseline:
-        forwarded.append("--update-baseline")
-    if args.lint_select:
-        forwarded += ["--select", args.lint_select]
-    if args.lint_ignore:
-        forwarded += ["--ignore", args.lint_ignore]
-    if args.no_stale:
-        forwarded.append("--no-stale")
-    if args.lint_sarif:
-        forwarded += ["--sarif", args.lint_sarif]
-    if args.lint_cache:
-        forwarded += ["--cache", args.lint_cache]
-    if args.no_cache:
-        forwarded.append("--no-cache")
-    if args.changed_only:
-        forwarded.append("--changed-only")
-    if args.lint_diff_base:
-        forwarded += ["--diff-base", args.lint_diff_base]
-    if args.list_rules:
-        forwarded.append("--list-rules")
-    return lint_main(forwarded)
-
-
 def _cmd_trace(args) -> int:
     payload = read_trace(args.trace_file)
     print(f"trace {args.trace_file}: structurally valid")
@@ -1217,7 +1132,6 @@ _COMMANDS = {
     "ablation": _cmd_ablation,
     "sensitivity": _cmd_sensitivity,
     "report": _cmd_report,
-    "lint": _cmd_lint,
     "trace": _cmd_trace,
     "profile": _cmd_profile,
     "monitor": _cmd_monitor,
@@ -1227,12 +1141,17 @@ _COMMANDS = {
 
 #: Inspection commands never record telemetry about themselves.
 _INSPECTION_COMMANDS = frozenset(
-    {"lint", "trace", "profile", "monitor", "alerts", "runs"}
+    {"trace", "profile", "monitor", "alerts", "runs"}
 )
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit status."""
+    argv = list(sys.argv[1:] if argv is None else argv)
+    if argv[:1] == ["lint"]:
+        from repro.lint import main as lint_main
+
+        return lint_main(argv[1:])
     parser = build_parser()
     args = parser.parse_args(argv)
     setup_logging(args.log_level)

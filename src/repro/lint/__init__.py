@@ -23,10 +23,13 @@ rule id                     invariant
 ``span-escape``             helper-returned spans land in ``with`` blocks
 ==========================  ============================================
 
-The first ten are per-file AST rules; the last five run over the linked
-whole-program call graph (:mod:`repro.lint.graph` /
-:mod:`repro.lint.flow`), with per-module summaries cached by content
-hash in ``.repro-lint-cache.json``.
+Every rule is a query over one extraction pass
+(:func:`repro.lint.graph.extract_summary`): the first nine read the
+sites recorded in each module's summary, ``alert-unknown-metric`` reads
+the alert-rule files, and the last five follow the linked whole-program
+call graph (:mod:`repro.lint.flow`).  Summaries are cached in
+``.repro-lint-cache.json``, keyed by each file's content digest and the
+extraction code's digest, so a warm run parses only changed files.
 
 Run as ``python -m repro.lint [paths...]`` or ``repro-rating lint``;
 suppress a single line with ``# lint: ignore[rule-id]``, carry accepted

@@ -1,4 +1,4 @@
-"""The AST-based invariant checker's core: rules, findings, runner.
+"""The invariant checker's core: rules, findings, runner.
 
 The repo's headline guarantee -- bit-identical results and telemetry
 across serial, chunked, and multi-process runs -- rests on coding
@@ -10,54 +10,42 @@ repo-specific rules plug into:
 - :class:`Finding` -- one violation, with a stable ``baseline_key`` so a
   committed baseline file can grandfather accepted findings without
   pinning line numbers;
-- :class:`Rule` -- the visitor contract (``check_module`` per file plus
-  a ``finalize`` hook for whole-project rules such as catalog parity);
-- :class:`ModuleSource` -- a parsed file with its pragma map and an
-  import-alias resolver shared by every rule;
-- :class:`Linter` / :func:`run_lint` -- deterministic file walking,
-  ``# lint: ignore[rule-id]`` suppression, baseline filtering, and JSON
-  plus human-readable output.
+- :class:`Rule` -- the query contract: every rule reads the linked
+  :class:`~repro.lint.graph.Program` and the per-module summaries that
+  :func:`~repro.lint.graph.extract_summary` produced, never an AST;
+- :class:`Linter` / :func:`run_lint` -- deterministic file walking, one
+  cached extraction per changed file, ``# lint: ignore[rule-id]``
+  suppression, baseline filtering, and JSON plus human-readable output.
 """
 
 from __future__ import annotations
 
-import ast
 import json
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from repro.lint.graph import (
+    ModuleSource,
+    ModuleSummary,
+    Program,
+    build_program,
+    extract_summary,
+)
+from repro.lint.store import AnalysisStore, content_digest
+
 __all__ = [
     "Finding",
-    "ImportMap",
     "LintConfig",
     "LintResult",
     "Linter",
     "ModuleSource",
     "Rule",
-    "expr_window",
     "load_baseline",
     "run_lint",
 ]
 
 JSON_SCHEMA_VERSION = 1
-
-
-def expr_window(node: ast.AST, cap: int = 12) -> Tuple[int, ...]:
-    """Continuation lines of a multiline node, for ``Finding.extra_lines``.
-
-    A ``# lint: ignore[...]`` pragma anywhere inside a multiline call
-    (typically on the closing-paren line) should suppress the finding
-    anchored at the call's first line; ``cap`` bounds the window so a
-    pathological expression cannot blanket a whole file.
-    """
-    end = getattr(node, "end_lineno", None) or node.lineno
-    return tuple(range(node.lineno + 1, min(end, node.lineno + cap) + 1))
-
-#: ``# lint: ignore`` suppresses every rule on that line;
-#: ``# lint: ignore[rule-a,rule-b]`` suppresses only the named rules.
-_PRAGMA = re.compile(r"#\s*lint:\s*ignore(?:\[([A-Za-z0-9_,\- ]+)\])?")
 
 
 @dataclass(frozen=True, order=True)
@@ -96,88 +84,6 @@ class Finding:
         return f"{self.path}:{self.line}:{self.column}: {self.rule}: {self.message}"
 
 
-class ImportMap:
-    """Resolves local names to canonical dotted module paths.
-
-    Built from a module's ``import``/``from`` statements (at any nesting
-    level), so rules can ask "is this call ``numpy.random.default_rng``?"
-    regardless of aliasing (``import numpy as np``, ``from numpy.random
-    import default_rng as mk_rng``, ...).
-    """
-
-    def __init__(self, tree: ast.AST) -> None:
-        self.names: Dict[str, str] = {}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.asname:
-                        self.names[alias.asname] = alias.name
-                    else:
-                        # ``import a.b`` binds ``a`` to module ``a``.
-                        top = alias.name.split(".")[0]
-                        self.names[top] = top
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                module = node.module or ""
-                for alias in node.names:
-                    if alias.name == "*":
-                        continue
-                    bound = alias.asname or alias.name
-                    self.names[bound] = f"{module}.{alias.name}" if module else alias.name
-
-    def resolve(self, node: ast.AST) -> Optional[str]:
-        """Canonical dotted path of a Name/Attribute chain, or None."""
-        parts: List[str] = []
-        while isinstance(node, ast.Attribute):
-            parts.append(node.attr)
-            node = node.value
-        if not isinstance(node, ast.Name):
-            return None
-        base = self.names.get(node.id)
-        if base is None:
-            return None
-        parts.append(base)
-        return ".".join(reversed(parts))
-
-    def resolve_call(self, call: ast.Call) -> Optional[str]:
-        return self.resolve(call.func)
-
-
-class ModuleSource:
-    """One parsed python file plus the per-line pragma map."""
-
-    def __init__(self, path: str, text: str, tree: ast.Module) -> None:
-        self.path = path
-        self.text = text
-        self.lines = text.splitlines()
-        self.tree = tree
-        self.imports = ImportMap(tree)
-        #: line -> None (ignore everything) or the set of ignored rule ids.
-        self.ignores: Dict[int, Optional[Set[str]]] = {}
-        for lineno, line in enumerate(self.lines, start=1):
-            match = _PRAGMA.search(line)
-            if match is None:
-                continue
-            if match.group(1) is None:
-                self.ignores[lineno] = None
-            else:
-                ids = {part.strip() for part in match.group(1).split(",")}
-                self.ignores[lineno] = {part for part in ids if part}
-
-    @classmethod
-    def parse(cls, path: str, text: str) -> "ModuleSource":
-        return cls(path, text, ast.parse(text, filename=path))
-
-    def suppresses(self, finding: Finding) -> bool:
-        """Whether a pragma on any of the finding's lines covers its rule."""
-        for line in (finding.line, *finding.extra_lines):
-            rules = self.ignores.get(line, ...)
-            if rules is ...:
-                continue
-            if rules is None or finding.rule in rules:
-                return True
-        return False
-
-
 class Rule:
     """Base class for one lint rule (or one tightly-related family)."""
 
@@ -185,21 +91,26 @@ class Rule:
     id: str = ""
     #: One-line description shown by ``--list-rules`` and docs.
     summary: str = ""
-    #: Whole-program rules set this; the linter then builds the linked
-    #: call graph (:mod:`repro.lint.graph`) and calls ``check_program``.
-    needs_program: bool = False
 
-    def check_module(self, module: ModuleSource) -> Iterable[Finding]:
-        """Findings for one parsed file."""
+    def check(
+        self, program: Program, modules: Sequence[ModuleSummary]
+    ) -> Iterable[Finding]:
+        """Findings for one run.
+
+        ``program`` links every linted module; ``modules`` are the
+        summaries of the modules in the checked scope.
+        """
         return ()
 
-    def check_program(self, program) -> Iterable[Finding]:
-        """Findings over the linked whole-program view (flow rules)."""
-        return ()
-
-    def finalize(self, modules: Sequence[ModuleSource]) -> Iterable[Finding]:
-        """Whole-project findings, after every module was checked."""
-        return ()
+    def at(
+        self, path: str, site: Dict, message: str, symbol: str,
+        window: Sequence[int] = (),
+    ) -> Finding:
+        """The finding for one extracted ``site`` (``line``/``col``)."""
+        return Finding(
+            path=path, line=site["line"], column=site["col"], rule=self.id,
+            message=message, symbol=symbol, extra_lines=tuple(window),
+        )
 
 
 @dataclass
@@ -238,10 +149,9 @@ class LintResult:
     files_checked: int
     rules: List[str]
     parse_errors: List[Finding]
-    #: Whole-program analysis stats: which modules were (re-)extracted
-    #: (``analyzed``), served from the cache (``cached``), and actually
-    #: rule-checked this run (``checked``).  Empty when no program rule
-    #: ran.
+    #: Analysis stats: which modules were (re-)extracted (``analyzed``),
+    #: served from the cache (``cached``), and actually rule-checked this
+    #: run (``checked``).
     analysis: Dict[str, List[str]] = field(default_factory=dict)
 
     @property
@@ -336,124 +246,67 @@ class Linter:
 
     def run(self, paths: Sequence[str]) -> LintResult:
         parse_errors: List[Finding] = []
-        files = walk_python_files(paths)
-        texts: Dict[str, str] = {}
+
+        def error(rel: str, line: int, message: str) -> None:
+            parse_errors.append(Finding(
+                path=rel, line=line, column=0, rule="parse-error",
+                message=message, symbol=rel,
+            ))
+
+        # ---- extraction: one summary per file, parsed only on a miss.
+        store = AnalysisStore(
+            Path(self.config.cache_path) if self.config.cache_path else None
+        )
         order: List[str] = []
-        for file_path in files:
+        summaries: List[ModuleSummary] = []
+        for file_path in walk_python_files(paths):
             rel = file_path.as_posix()
             try:
-                texts[rel] = file_path.read_text(encoding="utf-8")
-                order.append(rel)
+                text = file_path.read_text(encoding="utf-8")
             except (OSError, UnicodeDecodeError) as exc:
-                parse_errors.append(
-                    Finding(
-                        path=rel,
-                        line=1,
-                        column=0,
-                        rule="parse-error",
-                        message=f"cannot read file: {exc}",
-                        symbol=rel,
-                    )
-                )
-
-        parsed: Dict[str, Optional[ModuleSource]] = {}
-
-        def parse(rel: str) -> Optional[ModuleSource]:
-            if rel in parsed:
-                return parsed[rel]
-            try:
-                parsed[rel] = ModuleSource.parse(rel, texts[rel])
-            except SyntaxError as exc:
-                line = getattr(exc, "lineno", 1) or 1
-                parse_errors.append(
-                    Finding(
-                        path=rel,
-                        line=int(line),
-                        column=0,
-                        rule="parse-error",
-                        message=f"cannot parse file: {exc}",
-                        symbol=rel,
-                    )
-                )
-                parsed[rel] = None
-            return parsed[rel]
-
-        # ---- whole-program phase: summaries, cache, linked call graph.
-        program = None
-        analysis: Dict[str, List[str]] = {}
-        program_rules = [
-            rule for rule in self.rules if getattr(rule, "needs_program", False)
-        ]
-        if program_rules or self.config.changed_paths is not None:
-            # Imported lazily: graph depends on this module.
-            from repro.lint.graph import build_program, extract_summary
-            from repro.lint.store import AnalysisStore, content_digest
-
-            store_path = (
-                Path(self.config.cache_path) if self.config.cache_path else None
-            )
-            store = AnalysisStore(store_path)
-            summaries = []
-            for rel in order:
-                digest = content_digest(texts[rel])
-                summary = store.get(rel, digest)
-                if summary is None:
-                    module = parse(rel)
-                    if module is None:
-                        continue
-                    summary = extract_summary(module, digest)
-                    store.put(summary)
-                summaries.append(summary)
-            program = build_program(summaries)
-            store.prune(order)
-            store.save()
-            analysis = {
-                "analyzed": sorted(store.misses),
-                "cached": sorted(store.hits),
-            }
+                error(rel, 1, f"cannot read file: {exc}")
+                continue
+            order.append(rel)
+            digest = content_digest(text)
+            summary = store.get(rel, digest)
+            if summary is None:
+                try:
+                    module = ModuleSource.parse(rel, text)
+                except SyntaxError as exc:
+                    error(rel, int(getattr(exc, "lineno", 1) or 1),
+                          f"cannot parse file: {exc}")
+                    continue
+                summary = extract_summary(module, digest)
+                store.put(summary)
+            summaries.append(summary)
+        store.prune(order)
+        store.save()
+        program = build_program(summaries)
 
         # ---- scope: everything, or the changed set's dependency closure.
-        if self.config.changed_paths is not None and program is not None:
+        check_list = order
+        if self.config.changed_paths is not None:
             wanted = program.reverse_dependency_closure(
                 Path(p).as_posix() for p in self.config.changed_paths
             )
             check_list = [rel for rel in order if rel in wanted]
-        else:
-            check_list = list(order)
         checked_set = set(check_list)
-        if analysis or self.config.changed_paths is not None:
-            analysis["checked"] = list(check_list)
+        checked = [s for s in summaries if s.path in checked_set]
 
-        # ---- per-file phase.
+        # ---- queries: rules see the whole program but only report into
+        # the checked scope (non-module paths -- catalogs, alert-rule
+        # files -- always report).
         raw: List[Finding] = []
-        modules: List[ModuleSource] = []
-        for rel in check_list:
-            module = parse(rel)
-            if module is None:
-                continue
-            modules.append(module)
-            for rule in self.rules:
-                if not getattr(rule, "needs_program", False):
-                    raw.extend(rule.check_module(module))
-
-        # ---- program phase: flow rules see the whole graph but only
-        # report into the checked scope.
-        if program is not None:
-            for rule in program_rules:
-                for finding in rule.check_program(program):
-                    if finding.path in checked_set:
-                        raw.append(finding)
-
         for rule in self.rules:
-            if not getattr(rule, "needs_program", False):
-                raw.extend(rule.finalize(modules))
+            for finding in rule.check(program, checked):
+                if finding.path in checked_set or finding.path not in program.by_path:
+                    raw.append(finding)
 
-        by_path = {module.path: module for module in modules}
         pragma_suppressed = 0
         survivors: List[Finding] = []
         for finding in sorted(raw):
-            module = by_path.get(finding.path)
-            if module is not None and module.suppresses(finding):
+            summary = program.by_path.get(finding.path)
+            if summary is not None and summary.suppresses(finding):
                 pragma_suppressed += 1
             else:
                 survivors.append(finding)
@@ -471,7 +324,11 @@ class Linter:
             files_checked=len(check_list),
             rules=[rule.id for rule in self.rules],
             parse_errors=parse_errors,
-            analysis=analysis,
+            analysis={
+                "analyzed": sorted(store.misses),
+                "cached": sorted(store.hits),
+                "checked": list(check_list),
+            },
         )
 
 

@@ -1,16 +1,15 @@
 """Interprocedural dataflow rules over the linked call graph.
 
-The per-file rules guard each function in isolation; these four rule
-families guard the *paths* between them, using
+The site rules read one module's extracted facts at a time; these five
+rule families guard the *paths* between functions, using the linked
 :class:`repro.lint.graph.Program`:
 
 - ``rng-taint`` -- any RNG constructed on a path reachable from an
   ``EvalTask.run`` override must be seeded from a plumbed seed source
   (a seed-like parameter, a ``derive_seed`` call, or a value derived
-  from one).  This replaces the per-file signature-name heuristic with
-  real reachability: a helper three calls below ``run`` that draws from
-  ``default_rng()`` -- or ``default_rng(42)`` -- breaks replay exactly
-  like one inside the task.
+  from one), following real reachability: a helper three calls below
+  ``run`` that draws from ``default_rng()`` -- or ``default_rng(42)`` --
+  breaks replay exactly like one inside the task.
 - ``worker-state-mutation`` -- a static race detector for the fork pool:
   nothing reachable from ``_run_task_timed``/``_run_chunk`` may write a
   module-level global or mutate a fork-shared world object, except the
@@ -32,7 +31,6 @@ families guard the *paths* between them, using
 
 from __future__ import annotations
 
-import ast
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.lint.core import Finding, Rule
@@ -55,9 +53,8 @@ class RngTaintRule(Rule):
         "RNG constructed on an EvalTask.run-reachable path must be seeded "
         "from a plumbed seed (parameter, derive_seed, or derived value)"
     )
-    needs_program = True
 
-    def check_program(self, program: Program) -> Iterable[Finding]:
+    def check(self, program: Program, modules) -> Iterable[Finding]:
         roots: List[str] = []
         for class_id in program.task_classes():
             roots.extend(program.lookup_method(class_id, "run"))
@@ -106,7 +103,6 @@ class WorkerStateMutationRule(Rule):
         "functions reachable from the pool workers must not write module "
         "globals or fork-shared world state outside sanctioned sites"
     )
-    needs_program = True
 
     _ROOTS = ("_run_task_timed", "_run_chunk")
 
@@ -126,7 +122,7 @@ class WorkerStateMutationRule(Rule):
             return True
         return False
 
-    def check_program(self, program: Program) -> Iterable[Finding]:
+    def check(self, program: Program, modules) -> Iterable[Finding]:
         roots: List[str] = []
         for name in self._ROOTS:
             roots.extend(program.find_functions(name))
@@ -187,18 +183,17 @@ class PickleReachabilityRule(Rule):
         "EvalTask field annotations must transitively resolve to "
         "module-level picklable definitions"
     )
-    needs_program = True
 
     _DEPTH_CAP = 4
 
-    def check_program(self, program: Program) -> Iterable[Finding]:
+    def check(self, program: Program, modules) -> Iterable[Finding]:
         for class_id in program.task_classes():
             module = program.class_module(class_id)
             summary = program.modules[module]
             cfacts = program.classes[class_id]
             for field_name, info in sorted(cfacts.fields.items()):
                 for problem in self._vet(
-                    program, module, info["annotation"], set(), 0
+                    program, module, info["types"], set(), 0
                 ):
                     yield Finding(
                         path=summary.path,
@@ -217,58 +212,17 @@ class PickleReachabilityRule(Rule):
         self,
         program: Program,
         module: str,
-        annotation: str,
+        types: List[List],
         seen: Set[str],
         depth: int,
     ) -> List[str]:
-        """Problem descriptions for one annotation string."""
-        try:
-            tree = ast.parse(annotation, mode="eval")
-        except SyntaxError:
-            return [f"annotation `{annotation}` is not parseable"]
+        """Problem descriptions for one annotation's type names."""
         problems: List[str] = []
-        for name, dotted in self._terminal_names(tree.body, program, module):
+        for name, dotted in types:
             problems.extend(
                 self._vet_name(program, module, name, dotted, seen, depth)
             )
         return problems
-
-    def _terminal_names(self, node: ast.AST, program: Program, module: str):
-        """(simple_name, resolved_dotted|None) for each type name used."""
-        out: List[Tuple[str, Optional[str]]] = []
-        imports = program.modules[module].imports
-
-        def visit(expr: ast.AST) -> None:
-            if isinstance(expr, ast.Subscript):
-                visit(expr.value)
-                visit(expr.slice)
-            elif isinstance(expr, ast.Tuple):
-                for element in expr.elts:
-                    visit(element)
-            elif isinstance(expr, ast.BinOp) and isinstance(expr.op, ast.BitOr):
-                visit(expr.left)
-                visit(expr.right)
-            elif isinstance(expr, ast.Constant):
-                if isinstance(expr.value, str):
-                    try:
-                        visit(ast.parse(expr.value, mode="eval").body)
-                    except SyntaxError:
-                        pass
-            elif isinstance(expr, ast.Attribute):
-                chain: List[str] = []
-                inner: ast.AST = expr
-                while isinstance(inner, ast.Attribute):
-                    chain.append(inner.attr)
-                    inner = inner.value
-                if isinstance(inner, ast.Name):
-                    base = imports.get(inner.id, inner.id)
-                    dotted = ".".join([base] + list(reversed(chain)))
-                    out.append((expr.attr, dotted))
-            elif isinstance(expr, ast.Name):
-                out.append((expr.id, imports.get(expr.id)))
-
-        visit(node)
-        return out
 
     def _vet_name(
         self,
@@ -318,8 +272,7 @@ class PickleReachabilityRule(Rule):
             for info in cfacts.fields.values():
                 problems.extend(
                     self._vet(
-                        program, inner_module, info["annotation"], seen,
-                        depth + 1,
+                        program, inner_module, info["types"], seen, depth + 1
                     )
                 )
         return problems
@@ -333,9 +286,8 @@ class WallclockFingerprintRule(Rule):
         "inputs to derive_seed/stable_fingerprint/canonical_bytes must not "
         "reach a wall-clock read through any call chain"
     )
-    needs_program = True
 
-    def check_program(self, program: Program) -> Iterable[Finding]:
+    def check(self, program: Program, modules) -> Iterable[Finding]:
         for fn_id in sorted(program.functions):
             node = program.functions[fn_id]
             for feed in node.facts.hash_feeds:
@@ -384,9 +336,8 @@ class SpanEscapeRule(Rule):
         "a call to a helper that returns an open span context must be "
         "consumed by a `with` block at the call site"
     )
-    needs_program = True
 
-    def check_program(self, program: Program) -> Iterable[Finding]:
+    def check(self, program: Program, modules) -> Iterable[Finding]:
         returning = self._span_returning(program)
         for fn_id in sorted(program.functions):
             node = program.functions[fn_id]

@@ -1,20 +1,19 @@
-"""Project-wide symbol table and call graph for the invariant checker.
+"""The invariant checker's one analysis pass, and the project call graph.
 
-The per-file rules in :mod:`repro.lint` can only see one module at a
-time, but the contracts they guard are *interprocedural*: a helper three
-calls below ``EvalTask.run`` that seeds a generator from a constant
-breaks replay just as surely as one in the task itself, and a function
-reachable from a pool worker that mutates fork-shared state races no
-matter which file it lives in.  This module gives the whole-program
-rules in :mod:`repro.lint.flow` their eyes:
+Every rule in :mod:`repro.lint` is a query over what this module
+extracts; no rule walks an AST.  It provides:
 
-- :func:`extract_summary` distils one parsed module into a
-  JSON-serializable :class:`ModuleSummary`: its functions and classes,
-  every call site (with a symbolic target), RNG-construction sites with
-  seed-taint verdicts, module-global and fork-shared writes, wall-clock
-  reads, and span-escape facts.  Summaries are pure functions of the
-  file's text, which is what makes them cacheable by content hash
-  (:mod:`repro.lint.store`).
+- :func:`extract_summary` distils one parsed module, in one pass over
+  its AST, into a JSON-serializable :class:`ModuleSummary`: its
+  functions and classes, every call site (with a symbolic target),
+  RNG-construction sites with seed-taint verdicts, global-RNG API calls,
+  module-global and fork-shared writes, wall-clock reads, span and
+  metric-emission sites, pickled payloads, unordered iteration near the
+  hashing helpers, world-builder signatures, and the module's pragma
+  map.  Module-level code (class bodies, decorators and defaults
+  included) is one more scope next to the functions.  Summaries are
+  pure functions of the file's text and of this module's source, which
+  is what makes them cacheable (:mod:`repro.lint.store`).
 - :class:`Program` links summaries into a project: imports (including
   package re-exports) are resolved, methods are bound through parameter
   and attribute type hints plus constructor assignments, calls through a
@@ -35,16 +34,20 @@ the store.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+import hashlib
+import re
+from dataclasses import dataclass, field, fields
+from fnmatch import fnmatch
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
-
-from repro.lint.core import ModuleSource
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 __all__ = [
     "CallFact",
     "ClassFacts",
+    "EXTRACTOR_DIGEST",
     "FunctionFacts",
+    "ImportMap",
+    "ModuleSource",
     "ModuleSummary",
     "Program",
     "build_program",
@@ -52,11 +55,16 @@ __all__ = [
     "module_name_for",
 ]
 
-#: Bump when the extraction schema changes; cached summaries from other
-#: versions are discarded (see :mod:`repro.lint.store`).
-SCHEMA_VERSION = 1
+#: Digest of this module's source.  Every cached summary was extracted by
+#: the code it names, so an edit here discards the whole cache (see
+#: :mod:`repro.lint.store`) instead of linting against stale facts.
+EXTRACTOR_DIGEST = hashlib.blake2b(
+    Path(__file__).read_bytes(), digest_size=16
+).hexdigest()
 
-#: RNG constructors whose seed argument the taint analysis inspects.
+#: RNG constructors that take the seed as their first argument.  With no
+#: argument they seed from OS entropy (``rng-unseeded``); on a task path
+#: the seed must derive from a plumbed one (``rng-taint``).
 _RNG_CONSTRUCTORS = {
     "numpy.random.default_rng",
     "numpy.random.RandomState",
@@ -64,15 +72,26 @@ _RNG_CONSTRUCTORS = {
     "random.Random",
 }
 
-#: Canonical names of the fingerprint/seed-derivation API.
-_HASHING_APIS = {
-    "repro.exec.hashing.derive_seed",
-    "repro.exec.hashing.stable_fingerprint",
-    "repro.exec.hashing.canonical_bytes",
+#: ``numpy.random`` attributes that build a generator explicitly.  Every
+#: other one-level ``numpy.random.*`` / ``random.*`` call (``random.Random``
+#: aside) is the process-global RNG API (``rng-global-state``).
+_NUMPY_RNG_TYPES = {
+    "default_rng",
+    "Generator",
+    "RandomState",
+    "BitGenerator",
+    "SeedSequence",
+    "PCG64",
+    "PCG64DXSM",
+    "Philox",
+    "MT19937",
+    "SFC64",
 }
+
+#: The fingerprint/seed-derivation API of ``repro.exec.hashing``.
 _HASHING_TAILS = {"derive_seed", "stable_fingerprint", "canonical_bytes"}
 
-#: Wall-clock reads (mirrors rules_time; kept in sync by a lint test).
+#: Absolute-time reads; ``perf_counter`` durations stay legal.
 _WALLCLOCK = {
     "time.time",
     "time.time_ns",
@@ -82,23 +101,49 @@ _WALLCLOCK = {
     "datetime.date.today",
 }
 
-#: Canonical paths of the span context manager.
+#: Canonical paths of the span context manager, and the span-stack
+#: internals only ``repro.obs`` itself may call.
 _SPAN_FUNCS = {"repro.obs.span", "repro.obs.spans.span"}
+_SPAN_INTERNALS = {"record_span", "adopt_span"}
 
-#: Parameter/attribute names that count as a plumbed seed (mirrors
-#: rules_rng's accepted spellings).
+#: Registry methods whose first string argument names a metric.
+_EMIT_METHODS = {"counter", "gauge", "histogram", "inc", "observe", "set_gauge"}
+
+#: Calls whose arguments are pickled into pool workers: ``*Task(...)``
+#: constructors and ``.map`` on a pool.  A name bound from a pool type is
+#: a pool receiver.
+_TASK_CTOR = re.compile(r"^[A-Z]\w*Task$")
+_POOL_TYPES = {"ParallelEvaluator", "ProcessPoolExecutor", "Pool"}
+
+#: Function-name shapes that build or sample random worlds.
+_WORLD_PATTERNS = ("*_world", "generate_*", "sample_*")
+
+#: Spellings of a plumbed seed/generator.
 _SEED_NAMES = {"rng", "seed", "seeds", "random_state", "generator"}
-_SEED_SUFFIXES = ("_rng", "_seed", "_seed_root", "_generator")
+_SEED_SUFFIXES = ("_rng", "_seed")
 _SEED_PREFIXES = ("rng_", "seed_")
+#: Taint sources also accept these suffixes; a world builder's parameter
+#: (``rng-missing-param``) must use one of the spellings above.
+_TAINT_ONLY_SUFFIXES = ("_seed_root", "_generator")
+
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+#: ``# lint: ignore`` suppresses every rule on that line;
+#: ``# lint: ignore[rule-a,rule-b]`` suppresses only the named rules.
+_PRAGMA = re.compile(r"#\s*lint:\s*ignore(?:\[([A-Za-z0-9_,\- ]+)\])?")
 
 
-def seedlike(name: str) -> bool:
-    """Whether ``name`` spells a plumbed seed/generator."""
+def seedlike(name: str, taint: bool = True) -> bool:
+    """Whether ``name`` spells a plumbed seed/generator.
+
+    ``taint=False`` is the stricter spelling a world builder's parameter
+    must use.
+    """
     return (
         name in _SEED_NAMES
-        or name == "seed_root"
         or name.endswith(_SEED_SUFFIXES)
         or name.startswith(_SEED_PREFIXES)
+        or (taint and name.endswith(_TAINT_ONLY_SUFFIXES))
     )
 
 
@@ -119,6 +164,83 @@ def module_name_for(path: Path) -> str:
 
 
 # --------------------------------------------------------------------- #
+# Parsed source
+# --------------------------------------------------------------------- #
+
+
+class ImportMap:
+    """Resolves local names to canonical dotted module paths.
+
+    Built from a module's ``import``/``from`` statements (at any nesting
+    level), so extraction can ask "is this call
+    ``numpy.random.default_rng``?" regardless of aliasing (``import numpy
+    as np``, ``from numpy.random import default_rng as mk_rng``, ...).
+    """
+
+    def __init__(self, tree: ast.AST) -> None:
+        self.names: Dict[str, str] = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.asname:
+                        self.names[alias.asname] = alias.name
+                    else:
+                        # ``import a.b`` binds ``a`` to module ``a``.
+                        top = alias.name.split(".")[0]
+                        self.names[top] = top
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                module = node.module or ""
+                for alias in node.names:
+                    if alias.name == "*":
+                        continue
+                    bound = alias.asname or alias.name
+                    self.names[bound] = f"{module}.{alias.name}" if module else alias.name
+
+    def resolve(self, node: ast.AST) -> Optional[str]:
+        """Canonical dotted path of a Name/Attribute chain, or None."""
+        parts: List[str] = []
+        while isinstance(node, ast.Attribute):
+            parts.append(node.attr)
+            node = node.value
+        if not isinstance(node, ast.Name):
+            return None
+        base = self.names.get(node.id)
+        if base is None:
+            return None
+        parts.append(base)
+        return ".".join(reversed(parts))
+
+    def resolve_call(self, call: ast.Call) -> Optional[str]:
+        return self.resolve(call.func)
+
+
+class ModuleSource:
+    """One parsed python file plus the per-line pragma map."""
+
+    def __init__(self, path: str, text: str, tree: ast.Module) -> None:
+        self.path = path
+        self.text = text
+        self.lines = text.splitlines()
+        self.tree = tree
+        self.imports = ImportMap(tree)
+        #: line -> None (ignore everything) or the set of ignored rule ids.
+        self.ignores: Dict[int, Optional[Set[str]]] = {}
+        for lineno, line in enumerate(self.lines, start=1):
+            match = _PRAGMA.search(line)
+            if match is None:
+                continue
+            if match.group(1) is None:
+                self.ignores[lineno] = None
+            else:
+                ids = {part.strip() for part in match.group(1).split(",")}
+                self.ignores[lineno] = {part for part in ids if part}
+
+    @classmethod
+    def parse(cls, path: str, text: str) -> "ModuleSource":
+        return cls(path, text, ast.parse(text, filename=path))
+
+
+# --------------------------------------------------------------------- #
 # Summary dataclasses
 # --------------------------------------------------------------------- #
 
@@ -134,23 +256,16 @@ class CallFact:
     target: List
     in_with: bool = False
 
-    def to_dict(self) -> Dict:
-        return {
-            "line": self.line, "col": self.col,
-            "target": self.target, "in_with": self.in_with,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "CallFact":
-        return cls(
-            line=int(data["line"]), col=int(data["col"]),
-            target=list(data["target"]), in_with=bool(data["in_with"]),
-        )
-
 
 @dataclass
 class FunctionFacts:
-    """Everything the flow rules need to know about one function."""
+    """What the rules need to know about one scope.
+
+    A scope is a top-level function or method (nested defs included) or,
+    for :attr:`ModuleSummary.toplevel`, the module-level code outside
+    them.  Every site records its ``line`` and ``col``; ``window`` lists
+    the further lines where a pragma covers the site's finding.
+    """
 
     name: str  # qualname within the module ("f" or "Cls.f")
     line: int
@@ -158,8 +273,11 @@ class FunctionFacts:
     decorator_lines: List[int] = field(default_factory=list)
     params: List[str] = field(default_factory=list)
     calls: List[CallFact] = field(default_factory=list)
-    #: ``{line, col, ctor, seeded, tainted}`` per RNG-constructor call.
+    #: ``{line, col, ctor, seeded, tainted, suppressed, window}`` per
+    #: RNG-constructor call.
     rng_sites: List[Dict] = field(default_factory=list)
+    #: ``{api, line, col, window}`` per global-state RNG API call.
+    rng_globals: List[Dict] = field(default_factory=list)
     #: ``{name, line, col, kind}`` with kind ``global`` | ``module-attr``.
     global_writes: List[Dict] = field(default_factory=list)
     #: ``{name, line, col}`` -- attr/subscript stores on ``get_shared_*``
@@ -170,6 +288,25 @@ class FunctionFacts:
     #: ``{line, col, api, targets}`` -- hashing-API calls and the
     #: symbolic targets of calls nested in their argument expressions.
     hash_feeds: List[Dict] = field(default_factory=list)
+    #: ``{name, line, col, in_with}`` per ``span(...)`` call (name
+    #: ``span``) and per ``record_span``/``adopt_span`` call.
+    spans: List[Dict] = field(default_factory=list)
+    #: ``{glob, display, line, col}`` per metric-name emission; f-string
+    #: holes are ``*`` in the glob and ``{...}`` in the display.
+    emissions: List[Dict] = field(default_factory=list)
+    #: ``{sink, receiver, line, col, window, candidates}`` per argument of
+    #: a pickled-payload call that holds a lambda, a bare name or a
+    #: ``partial(...)``.  ``candidates`` are ``[kind, name]`` pairs in
+    #: source order; a ``*local`` one is a hazard only when ``name`` is in
+    #: :attr:`ModuleSummary.local_defs`.  A ``.map`` call whose receiver
+    #: is a plain name records it as ``receiver``.
+    payloads: List[Dict] = field(default_factory=list)
+    #: ``{source, line, col}`` per iteration over a set or ``.keys()``,
+    #: recorded only in modules that reach the hashing helpers.
+    unordered_iters: List[Dict] = field(default_factory=list)
+    #: ``{name, line, col, params, decorator_lines}`` per def shaped like
+    #: a world builder; ``params`` omits ``*args``/``**kwargs``.
+    builders: List[Dict] = field(default_factory=list)
     #: Returns a raw span record (``return span(...)`` or a variable
     #: holding one).
     returns_span: bool = False
@@ -178,34 +315,13 @@ class FunctionFacts:
     return_targets: List[List] = field(default_factory=list)
 
     def to_dict(self) -> Dict:
-        return {
-            "name": self.name, "line": self.line, "end_line": self.end_line,
-            "decorator_lines": self.decorator_lines, "params": self.params,
-            "calls": [c.to_dict() for c in self.calls],
-            "rng_sites": self.rng_sites,
-            "global_writes": self.global_writes,
-            "shared_writes": self.shared_writes,
-            "wallclock": self.wallclock,
-            "hash_feeds": self.hash_feeds,
-            "returns_span": self.returns_span,
-            "return_targets": self.return_targets,
-        }
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        data["calls"] = [vars(call) for call in self.calls]
+        return data
 
     @classmethod
     def from_dict(cls, data: Dict) -> "FunctionFacts":
-        return cls(
-            name=data["name"], line=data["line"], end_line=data["end_line"],
-            decorator_lines=list(data["decorator_lines"]),
-            params=list(data["params"]),
-            calls=[CallFact.from_dict(c) for c in data["calls"]],
-            rng_sites=list(data["rng_sites"]),
-            global_writes=list(data["global_writes"]),
-            shared_writes=list(data["shared_writes"]),
-            wallclock=list(data["wallclock"]),
-            hash_feeds=list(data["hash_feeds"]),
-            returns_span=bool(data["returns_span"]),
-            return_targets=list(data["return_targets"]),
-        )
+        return cls(**{**data, "calls": [CallFact(**c) for c in data["calls"]]})
 
 
 @dataclass
@@ -216,8 +332,9 @@ class ClassFacts:
     line: int
     #: Base-class specs: ``["local", name]`` or ``["dotted", name]``.
     bases: List[List] = field(default_factory=list)
-    #: ``{field: {"annotation": source, "line": n}}`` from class-body
-    #: ``AnnAssign`` (dataclass fields cross the pool boundary).
+    #: ``{field: {"annotation": source, "line": n, "types": [...]}}``
+    #: from class-body ``AnnAssign`` (dataclass fields cross the pool
+    #: boundary); ``types`` as :func:`_type_names` returns them.
     fields: Dict[str, Dict] = field(default_factory=dict)
     #: ``{attr: typespec}`` from class-level hints and ``self.x = Ctor()``
     #: constructor assignments -- how ``self.x.m()`` binds.
@@ -235,17 +352,8 @@ class ClassFacts:
 
     @classmethod
     def from_dict(cls, data: Dict) -> "ClassFacts":
-        return cls(
-            name=data["name"], line=data["line"],
-            bases=[list(b) for b in data["bases"]],
-            fields=dict(data["fields"]),
-            attr_types={k: list(v) for k, v in data["attr_types"].items()},
-            methods={
-                k: FunctionFacts.from_dict(m)
-                for k, m in data["methods"].items()
-            },
-            is_dataclass=bool(data["is_dataclass"]),
-        )
+        methods = {k: FunctionFacts.from_dict(m) for k, m in data["methods"].items()}
+        return cls(**{**data, "methods": methods})
 
 
 @dataclass
@@ -259,9 +367,40 @@ class ModuleSummary:
     module_names: List[str] = field(default_factory=list)
     functions: Dict[str, FunctionFacts] = field(default_factory=dict)
     classes: Dict[str, ClassFacts] = field(default_factory=dict)
+    #: Module-level code: everything outside the bodies of top-level
+    #: functions and methods.  Not linked into the call graph.
+    toplevel: FunctionFacts = field(
+        default_factory=lambda: FunctionFacts(name="<module>", line=1, end_line=1)
+    )
     #: Names of functions/classes defined *inside* functions (pickle
     #: hazards when referenced from task payloads).
     local_defs: List[str] = field(default_factory=list)
+    #: Names bound from a pool-type constructor (assignment or ``with``).
+    pool_names: List[str] = field(default_factory=list)
+    #: Pragma map: line -> None (ignore every rule) or the ignored ids.
+    ignores: Dict[int, Optional[List[str]]] = field(default_factory=dict)
+
+    def scopes(self) -> Iterator[FunctionFacts]:
+        """Every scope of the module: module-level code, functions, methods."""
+        yield self.toplevel
+        yield from self.functions.values()
+        for cls in self.classes.values():
+            yield from cls.methods.values()
+
+    def sites(self, kind: str) -> Iterator[Dict]:
+        """Every ``kind`` site (a list field of :class:`FunctionFacts`)."""
+        for scope in self.scopes():
+            yield from getattr(scope, kind)
+
+    def suppresses(self, finding) -> bool:
+        """Whether a pragma on any of the finding's lines covers its rule."""
+        for line in (finding.line, *finding.extra_lines):
+            rules = self.ignores.get(line, ...)
+            if rules is ...:
+                continue
+            if rules is None or finding.rule in rules:
+                return True
+        return False
 
     def to_dict(self) -> Dict:
         return {
@@ -269,24 +408,25 @@ class ModuleSummary:
             "imports": self.imports, "module_names": self.module_names,
             "functions": {k: f.to_dict() for k, f in self.functions.items()},
             "classes": {k: c.to_dict() for k, c in self.classes.items()},
+            "toplevel": self.toplevel.to_dict(),
             "local_defs": self.local_defs,
+            "pool_names": self.pool_names,
+            "ignores": {str(line): ids for line, ids in self.ignores.items()},
         }
 
     @classmethod
     def from_dict(cls, data: Dict) -> "ModuleSummary":
-        return cls(
-            path=data["path"], module=data["module"], digest=data["digest"],
-            imports=dict(data["imports"]),
-            module_names=list(data["module_names"]),
-            functions={
-                k: FunctionFacts.from_dict(f)
-                for k, f in data["functions"].items()
+        return cls(**{
+            **data,
+            "functions": {
+                k: FunctionFacts.from_dict(f) for k, f in data["functions"].items()
             },
-            classes={
+            "classes": {
                 k: ClassFacts.from_dict(c) for k, c in data["classes"].items()
             },
-            local_defs=list(data["local_defs"]),
-        )
+            "toplevel": FunctionFacts.from_dict(data["toplevel"]),
+            "ignores": {int(line): ids for line, ids in data["ignores"].items()},
+        })
 
 
 # --------------------------------------------------------------------- #
@@ -304,6 +444,104 @@ def _attr_chain(node: ast.AST) -> Optional[List[str]]:
         return None
     parts.append(node.id)
     return list(reversed(parts))
+
+
+def _terminal_name(func: ast.AST) -> str:
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    if isinstance(func, ast.Name):
+        return func.id
+    return ""
+
+
+def _window(node: ast.AST, cap: int = 12) -> List[int]:
+    """Continuation lines of a multiline node.
+
+    A pragma anywhere inside a multiline call (typically on the
+    closing-paren line) covers the finding anchored at the call's first
+    line; ``cap`` bounds the window so a pathological expression cannot
+    blanket a whole file.
+    """
+    end = getattr(node, "end_lineno", None) or node.lineno
+    return list(range(node.lineno + 1, min(end, node.lineno + cap) + 1))
+
+
+def _global_rng_api(resolved: str) -> bool:
+    """Whether a resolved call name is the process-global RNG API."""
+    module, _, tail = resolved.rpartition(".")
+    if module == "numpy.random":
+        return tail not in _NUMPY_RNG_TYPES
+    return module == "random" and tail != "Random"
+
+
+def _literal_glob(node: ast.AST) -> Optional[Tuple[str, str]]:
+    """(glob, display) for a Constant-str or JoinedStr node, else None."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value, node.value
+    if isinstance(node, ast.JoinedStr):
+        glob_parts: List[str] = []
+        display_parts: List[str] = []
+        for part in node.values:
+            if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                glob_parts.append(part.value)
+                display_parts.append(part.value)
+            else:
+                glob_parts.append("*")
+                display_parts.append("{...}")
+        return "".join(glob_parts), "".join(display_parts)
+    return None
+
+
+def _unordered_source(node: ast.AST) -> Optional[str]:
+    """What unordered collection ``node`` iterates, if any."""
+    if isinstance(node, ast.Call):
+        if isinstance(node.func, ast.Name) and node.func.id in ("set", "frozenset"):
+            return f"{node.func.id}(...)"
+        if isinstance(node.func, ast.Attribute) and node.func.attr == "keys":
+            return ".keys()"
+    if isinstance(node, ast.Set):
+        return "a set literal"
+    if isinstance(node, ast.SetComp):
+        return "a set comprehension"
+    return None
+
+
+def _payload_candidates(value: ast.AST) -> List[List[str]]:
+    """Possible pickle hazards in one payload argument, in source order.
+
+    Lambdas always are; bare names are when they name a local def; a
+    ``partial(...)`` pickles whatever it wraps; a list/tuple/set literal
+    is a payload of its elements.
+    """
+    out: List[List[str]] = []
+    elements = value.elts if isinstance(value, (ast.List, ast.Tuple, ast.Set)) else [value]
+    for node in elements:
+        if isinstance(node, ast.Lambda):
+            out.append(["lambda", ""])
+        elif isinstance(node, ast.Name):
+            out.append(["local", node.id])
+        elif isinstance(node, ast.Call) and _terminal_name(node.func) == "partial":
+            for arg in list(node.args) + [kw.value for kw in node.keywords]:
+                if isinstance(arg, ast.Lambda):
+                    out.append(["partial-lambda", ""])
+                elif isinstance(arg, ast.Name):
+                    out.append(["partial-local", arg.id])
+    return out
+
+
+def _reaches_hashing(module: ModuleSource) -> bool:
+    """Whether a module is fingerprint-reachable: under ``exec/`` or
+    importing the hashing helpers."""
+    if "/exec/" in module.path or module.path.endswith("exec/__init__.py"):
+        return True
+    return any(
+        "repro.exec.hashing" in canonical
+        or (
+            canonical.startswith("repro.")
+            and canonical.rsplit(".", 1)[-1] in _HASHING_TAILS
+        )
+        for canonical in module.imports.names.values()
+    )
 
 
 def _annotation_spec(
@@ -340,56 +578,88 @@ def _annotation_spec(
     return None
 
 
-class _FunctionExtractor:
-    """Distils one function body into :class:`FunctionFacts`."""
+def _type_names(node: ast.AST, imports: Dict[str, str]) -> List[List]:
+    """``[simple_name, resolved_dotted | None]`` per type an annotation names."""
+    out: List[List] = []
+
+    def visit(expr: ast.AST) -> None:
+        if isinstance(expr, ast.Subscript):
+            visit(expr.value)
+            visit(expr.slice)
+        elif isinstance(expr, ast.Tuple):
+            for element in expr.elts:
+                visit(element)
+        elif isinstance(expr, ast.BinOp) and isinstance(expr.op, ast.BitOr):
+            visit(expr.left)
+            visit(expr.right)
+        elif isinstance(expr, ast.Constant):
+            if isinstance(expr.value, str):
+                try:
+                    visit(ast.parse(expr.value, mode="eval").body)
+                except SyntaxError:
+                    pass
+        elif isinstance(expr, ast.Attribute):
+            chain = _attr_chain(expr)
+            if chain is not None:
+                base = imports.get(chain[0], chain[0])
+                out.append([expr.attr, ".".join([base] + chain[1:])])
+        elif isinstance(expr, ast.Name):
+            out.append([expr.id, imports.get(expr.id)])
+
+    visit(node)
+    return out
+
+
+class _ModuleState:
+    """Module-wide facts every scope's extractor reads or adds to."""
+
+    def __init__(self, module: ModuleSource) -> None:
+        self.module = module
+        self.names = _module_level_names(module.tree)
+        self.reaches_hashing = _reaches_hashing(module)
+        self.pool_names: Set[str] = set()
+        self.local_defs: Set[str] = set()
+
+
+class _ScopeExtractor:
+    """Distils one scope into :class:`FunctionFacts`.
+
+    ``node`` is the function whose body is the scope, or None for
+    module-level code, which arrives in pieces through :meth:`walk`.
+    """
 
     def __init__(
         self,
-        node: ast.AST,
-        qualname: str,
-        module: ModuleSource,
-        class_name: Optional[str],
-        module_names: Set[str],
+        state: _ModuleState,
+        facts: FunctionFacts,
+        node: Optional[ast.AST] = None,
+        class_name: Optional[str] = None,
     ) -> None:
+        self.state = state
+        self.module = state.module
+        self.facts = facts
         self.node = node
-        self.module = module
         self.class_name = class_name
-        self.module_names = module_names
-        args = node.args
-        self.params = [
-            a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
-        ]
-        if args.vararg:
-            self.params.append(args.vararg.arg)
-        if args.kwarg:
-            self.params.append(args.kwarg.arg)
         self.var_types: Dict[str, List] = {}
-        for a in args.posonlyargs + args.args + args.kwonlyargs:
-            spec = _annotation_spec(a.annotation, module)
-            if spec is not None:
-                self.var_types[a.arg] = spec
         self.shared_vars: Set[str] = set()
-        self.locals: Set[str] = set(self.params)
-        self.tainted: Set[str] = {p for p in self.params if seedlike(p)}
+        self.locals: Set[str] = set(facts.params)
+        self.tainted: Set[str] = {p for p in facts.params if seedlike(p)}
         self.globals_declared: Set[str] = set()
-        self.facts = FunctionFacts(
-            name=qualname,
-            line=node.lineno,
-            end_line=getattr(node, "end_lineno", node.lineno) or node.lineno,
-            decorator_lines=[d.lineno for d in node.decorator_list],
-            params=list(self.params),
-        )
-        self.with_ctx: Set[int] = set()
         self.returned_names: Set[str] = set()
-        for sub in ast.walk(node):
-            if isinstance(sub, (ast.With, ast.AsyncWith)):
-                for item in sub.items:
-                    self.with_ctx.add(id(item.context_expr))
+        #: ids of ``with``-item context expressions, and the name a call
+        #: is assigned to (``rec = span(...)``).  ``ast.walk`` is
+        #: breadth-first, so both are known before the call is seen.
+        self.with_ctx: Set[int] = set()
+        self.assigned: Dict[int, str] = {}
+        if node is not None:
+            args = node.args
+            for a in args.posonlyargs + args.args + args.kwonlyargs:
+                spec = _annotation_spec(a.annotation, self.module)
+                if spec is not None:
+                    self.var_types[a.arg] = spec
+            self._prescan()
 
     # -- helpers ------------------------------------------------------- #
-
-    def _resolve_dotted(self, node: ast.AST) -> Optional[str]:
-        return self.module.imports.resolve(node)
 
     def target_spec(self, func: ast.AST) -> List:
         """The symbolic call target for a callee expression."""
@@ -399,7 +669,7 @@ class _FunctionExtractor:
                 return ["dotted", resolved]
             return ["local", func.id]
         if isinstance(func, ast.Attribute):
-            resolved = self._resolve_dotted(func)
+            resolved = self.module.imports.resolve(func)
             if resolved is not None:
                 return ["dotted", resolved]
             base = func.value
@@ -422,9 +692,9 @@ class _FunctionExtractor:
                 return True
             elif isinstance(sub, ast.Call):
                 resolved = self.module.imports.resolve_call(sub)
-                if resolved is not None and (
-                    resolved in _HASHING_APIS
-                    or resolved.rsplit(".", 1)[-1] in _HASHING_TAILS
+                if (
+                    resolved is not None
+                    and resolved.rsplit(".", 1)[-1] in _HASHING_TAILS
                 ):
                     return True
         return False
@@ -453,7 +723,7 @@ class _FunctionExtractor:
             return None  # reported as a shared write, not a global one
         if name in self.locals and name not in self.globals_declared:
             return None
-        if name in self.globals_declared or name in self.module_names:
+        if name in self.globals_declared or name in self.state.names:
             return name, "module-attr"
         resolved = self.module.imports.names.get(name)
         if resolved is not None:
@@ -465,8 +735,8 @@ class _FunctionExtractor:
     # -- the walk ------------------------------------------------------ #
 
     def run(self) -> FunctionFacts:
-        self._prescan()
-        self._walk_statements(self.node.body)
+        for stmt in self.node.body:
+            self.walk(stmt)
         return self.facts
 
     def _bound_names(self, target: ast.AST, out: Set[str]) -> None:
@@ -498,20 +768,19 @@ class _FunctionExtractor:
             elif isinstance(sub, ast.Return) and isinstance(sub.value, ast.Name):
                 self.returned_names.add(sub.value.id)
 
-    def _walk_statements(self, body: Sequence[ast.stmt]) -> None:
-        for stmt in body:
-            self._visit_stmt(stmt)
-
-    def _visit_stmt(self, stmt: ast.stmt) -> None:
-        # One BFS walk per top-level statement handles arbitrarily nested
+    def walk(self, root: ast.AST) -> None:
+        # One BFS walk per statement handles arbitrarily nested
         # assignments, loops, and comprehensions in near-source order, so
         # taint introduced by an outer node is visible to inner calls.
-        # Facts inside nested defs are attributed to this function: the
+        # Facts inside nested defs are attributed to this scope: the
         # nested callee is invisible to the linker, and attributing its
         # body here over-approximates reachability (the safe direction).
-        for node in ast.walk(stmt):
+        for node in ast.walk(root):
             if isinstance(node, ast.Assign):
                 self._note_assign(node.targets, node.value)
+                self._note_pool(node.targets, node.value)
+                if len(node.targets) == 1 and isinstance(node.targets[0], ast.Name):
+                    self.assigned[id(node.value)] = node.targets[0].id
             elif isinstance(node, ast.AnnAssign):
                 if node.value is not None:
                     self._note_assign([node.target], node.value)
@@ -523,21 +792,64 @@ class _FunctionExtractor:
             elif isinstance(node, ast.Return) and node.value is not None:
                 self._note_return(node.value)
             elif isinstance(node, (ast.For, ast.AsyncFor)):
-                self._note_loop_taint(node.target, node.iter)
+                self._note_loop(node.target, node.iter)
             elif isinstance(
                 node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)
             ):
                 # Taint the comprehension variables when the *outer* node
-                # is seen: ast.walk is breadth-first, so the element
-                # expression would otherwise be visited before its
-                # generators.
+                # is seen: the element expression would otherwise be
+                # visited before its generators.
                 for gen in node.generators:
-                    self._note_loop_taint(gen.target, gen.iter)
+                    self._note_loop(gen.target, gen.iter)
             elif isinstance(node, ast.Call):
                 self._note_call(node)
+            elif isinstance(node, (ast.With, ast.AsyncWith)):
+                self.with_ctx.update(id(item.context_expr) for item in node.items)
+            elif isinstance(node, ast.withitem) and node.optional_vars is not None:
+                self._note_pool([node.optional_vars], node.context_expr)
+            elif isinstance(node, _DEFS + (ast.ClassDef,)):
+                self._note_def(node)
 
-    def _note_loop_taint(self, target: ast.AST, source: ast.AST) -> None:
-        """Iterating a tainted source taints the loop variables."""
+    def _note_def(self, node: ast.AST) -> None:
+        if self.node is not None:
+            self.state.local_defs.add(node.name)
+        elif isinstance(node, _DEFS):
+            # Module-level code reaches a def only under if/try or in a
+            # nested class; whatever that def encloses is local.
+            self.state.local_defs.update(
+                sub.name
+                for sub in ast.walk(node)
+                if sub is not node and isinstance(sub, _DEFS + (ast.ClassDef,))
+            )
+        if isinstance(node, _DEFS):
+            self.note_builder(node)
+
+    def note_builder(self, node: ast.AST) -> None:
+        if not any(fnmatch(node.name, pattern) for pattern in _WORLD_PATTERNS):
+            return
+        args = node.args
+        self.facts.builders.append({
+            "name": node.name, "line": node.lineno, "col": node.col_offset,
+            "params": [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs],
+            "decorator_lines": [d.lineno for d in node.decorator_list],
+        })
+
+    def _note_pool(self, targets: List[ast.AST], value: ast.AST) -> None:
+        """Names bound from a pool-type constructor are pool receivers."""
+        if isinstance(value, ast.Call) and _terminal_name(value.func) in _POOL_TYPES:
+            self.state.pool_names.update(
+                t.id for t in targets if isinstance(t, ast.Name)
+            )
+
+    def _note_loop(self, target: ast.AST, source: ast.AST) -> None:
+        """Unordered iteration near hashing; a tainted source taints the
+        loop variables."""
+        if self.state.reaches_hashing:
+            what = _unordered_source(source)
+            if what is not None:
+                self.facts.unordered_iters.append({
+                    "source": what, "line": source.lineno, "col": source.col_offset,
+                })
         if not self._expr_tainted(source):
             return
         for name_node in ast.walk(target):
@@ -590,22 +902,21 @@ class _FunctionExtractor:
             })
 
     def _note_return(self, value: ast.AST) -> None:
+        # ``rec = span(...); return rec`` is handled in _note_call.
         if isinstance(value, ast.Call):
             resolved = self.module.imports.resolve_call(value)
             if resolved in _SPAN_FUNCS:
                 self.facts.returns_span = True
             else:
                 self.facts.return_targets.append(self.target_spec(value.func))
-        elif isinstance(value, ast.Name):
-            # ``rec = span(...); return rec`` -- handled in _note_call.
-            pass
 
     def _note_call(self, call: ast.Call) -> None:
+        func = call.func
+        line, col = call.lineno, call.col_offset
         resolved = self.module.imports.resolve_call(call)
-        spec = self.target_spec(call.func)
+        in_with = id(call) in self.with_ctx
         self.facts.calls.append(CallFact(
-            line=call.lineno, col=call.col_offset, target=spec,
-            in_with=id(call) in self.with_ctx,
+            line=line, col=col, target=self.target_spec(func), in_with=in_with,
         ))
         if resolved is not None:
             if resolved in _RNG_CONSTRUCTORS:
@@ -615,27 +926,27 @@ class _FunctionExtractor:
                     for a in list(call.args) + [k.value for k in call.keywords]
                 )
                 self.facts.rng_sites.append({
-                    "line": call.lineno, "col": call.col_offset,
+                    "line": line, "col": col,
                     "ctor": resolved, "seeded": seeded, "tainted": tainted,
-                    "suppressed": self._suppressed(call.lineno, "rng-taint"),
+                    "suppressed": self._suppressed(line, "rng-taint"),
+                    "window": _window(call),
+                })
+            elif _global_rng_api(resolved):
+                self.facts.rng_globals.append({
+                    "api": resolved, "line": line, "col": col,
+                    "window": _window(call),
                 })
             if resolved in _WALLCLOCK:
                 # Only a `wallclock-fingerprint` pragma blesses hashing
                 # chains through this site; a plain `wall-clock` pragma
-                # covers the per-file rule alone.
+                # covers the direct read alone.
                 self.facts.wallclock.append({
-                    "name": resolved, "line": call.lineno,
-                    "col": call.col_offset,
-                    "suppressed": self._suppressed(
-                        call.lineno, "wallclock-fingerprint"
-                    ),
+                    "name": resolved, "line": line, "col": col,
+                    "suppressed": self._suppressed(line, "wallclock-fingerprint"),
                 })
             if (
-                resolved in _HASHING_APIS
-                or (
-                    resolved.startswith("repro.")
-                    and resolved.rsplit(".", 1)[-1] in _HASHING_TAILS
-                )
+                resolved.startswith("repro.")
+                and resolved.rsplit(".", 1)[-1] in _HASHING_TAILS
             ):
                 targets = [
                     self.target_spec(sub.func)
@@ -644,22 +955,72 @@ class _FunctionExtractor:
                     if isinstance(sub, ast.Call)
                 ]
                 self.facts.hash_feeds.append({
-                    "line": call.lineno, "col": call.col_offset,
+                    "line": line, "col": col,
                     "api": resolved.rsplit(".", 1)[-1], "targets": targets,
                 })
-            if resolved in _SPAN_FUNCS and not self.facts.returns_span:
+            if (
+                resolved in _SPAN_FUNCS
+                and self.assigned.get(id(call)) in self.returned_names
+            ):
                 # ``rec = span(...); return rec`` escapes just like a
                 # direct ``return span(...)``.
-                parent_assign = self._assigned_name_of(call)
-                if parent_assign is not None and parent_assign in self.returned_names:
-                    self.facts.returns_span = True
+                self.facts.returns_span = True
+        # An unimported bare ``span`` is taken to be the span manager too.
+        is_span = resolved in _SPAN_FUNCS or (
+            resolved is None and isinstance(func, ast.Name) and func.id == "span"
+        )
+        if is_span or (
+            isinstance(func, ast.Attribute) and func.attr in _SPAN_INTERNALS
+        ):
+            self.facts.spans.append({
+                "name": "span" if is_span else func.attr,
+                "line": line, "col": col, "in_with": in_with,
+            })
+        literal = _literal_glob(call.args[0]) if call.args else None
+        if literal is not None:
+            glob, display = literal
+            if isinstance(func, ast.Attribute) and func.attr in _EMIT_METHODS:
+                self.facts.emissions.append({
+                    "glob": glob, "display": display, "line": line, "col": col,
+                })
+            elif is_span:
+                # A span named N records histogram span.<enclosing>.N.seconds;
+                # the enclosing prefix is dynamic, so it is a wildcard hole.
+                self.facts.emissions.append({
+                    "glob": f"span.*{glob}.seconds",
+                    "display": f"span.…{display}.seconds",
+                    "line": line, "col": col,
+                })
+        self._note_payloads(call)
 
-    def _assigned_name_of(self, call: ast.Call) -> Optional[str]:
-        for sub in ast.walk(self.node):
-            if isinstance(sub, ast.Assign) and sub.value is call:
-                if len(sub.targets) == 1 and isinstance(sub.targets[0], ast.Name):
-                    return sub.targets[0].id
-        return None
+    def _note_payloads(self, call: ast.Call) -> None:
+        func = call.func
+        name = _terminal_name(func)
+        receiver = None
+        if _TASK_CTOR.match(name):
+            sink = f"{name}(...)"
+        elif isinstance(func, ast.Attribute) and name == "map":
+            base = func.value
+            if isinstance(base, ast.Name):
+                sink, receiver = f"{base.id}.map(...)", base.id
+            elif (
+                isinstance(base, ast.Call)
+                and _terminal_name(base.func) in _POOL_TYPES
+            ):
+                sink = f"{_terminal_name(base.func)}().map(...)"
+            else:
+                return
+        else:
+            return
+        for value in list(call.args) + [kw.value for kw in call.keywords]:
+            candidates = _payload_candidates(value)
+            if candidates:
+                self.facts.payloads.append({
+                    "sink": sink, "receiver": receiver,
+                    "line": value.lineno, "col": value.col_offset,
+                    "window": [call.lineno] + _window(call),
+                    "candidates": candidates,
+                })
 
 
 def _module_level_names(tree: ast.Module) -> Set[str]:
@@ -702,27 +1063,47 @@ def _is_dataclass_decorated(node: ast.ClassDef) -> bool:
 
 def extract_summary(module: ModuleSource, digest: str = "") -> ModuleSummary:
     """The whole-module analysis record for one parsed file."""
-    tree = module.tree
-    module_names = _module_level_names(tree)
+    state = _ModuleState(module)
     summary = ModuleSummary(
         path=module.path,
         module=module_name_for(Path(module.path)),
         digest=digest,
         imports=dict(module.imports.names),
-        module_names=sorted(module_names),
+        module_names=sorted(state.names),
+        ignores={
+            line: None if ids is None else sorted(ids)
+            for line, ids in module.ignores.items()
+        },
     )
+    toplevel = _ScopeExtractor(state, summary.toplevel)
 
     def extract_function(
         node: ast.AST, qualname: str, class_name: Optional[str]
     ) -> FunctionFacts:
-        return _FunctionExtractor(
-            node, qualname, module, class_name, module_names
-        ).run()
+        # The header (decorators, defaults, annotations) runs in the
+        # enclosing scope; the body is the function's own scope.
+        toplevel.note_builder(node)
+        for part in node.decorator_list + [node.args, node.returns]:
+            if part is not None:
+                toplevel.walk(part)
+        args = node.args
+        params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+        params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+        facts = FunctionFacts(
+            name=qualname,
+            line=node.lineno,
+            end_line=getattr(node, "end_lineno", node.lineno) or node.lineno,
+            decorator_lines=[d.lineno for d in node.decorator_list],
+            params=params,
+        )
+        return _ScopeExtractor(state, facts, node, class_name).run()
 
-    for stmt in tree.body:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+    for stmt in module.tree.body:
+        if isinstance(stmt, _DEFS):
             summary.functions[stmt.name] = extract_function(stmt, stmt.name, None)
         elif isinstance(stmt, ast.ClassDef):
+            for part in stmt.decorator_list + stmt.bases + stmt.keywords:
+                toplevel.walk(part)
             facts = ClassFacts(
                 name=stmt.name,
                 line=stmt.lineno,
@@ -735,34 +1116,29 @@ def extract_summary(module: ModuleSource, digest: str = "") -> ModuleSummary:
                 elif isinstance(base, ast.Name):
                     facts.bases.append(["local", base.id])
             for item in stmt.body:
-                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
-                    facts.fields[item.target.id] = {
-                        "annotation": ast.unparse(item.annotation),
-                        "line": item.lineno,
-                    }
-                    spec = _annotation_spec(item.annotation, module)
-                    if spec is not None:
-                        facts.attr_types[item.target.id] = spec
-                elif isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if isinstance(item, _DEFS):
                     qual = f"{stmt.name}.{item.name}"
                     facts.methods[item.name] = extract_function(
                         item, qual, stmt.name
                     )
                     if item.name == "__init__":
                         _collect_ctor_attr_types(item, module, facts)
-            summary.classes[stmt.name] = facts
-
-    # Functions/classes defined inside functions: pickle hazards.
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            for child in ast.walk(node):
-                if child is node:
                     continue
-                if isinstance(
-                    child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-                ):
-                    summary.local_defs.append(child.name)
-    summary.local_defs = sorted(set(summary.local_defs))
+                toplevel.walk(item)
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    facts.fields[item.target.id] = {
+                        "annotation": ast.unparse(item.annotation),
+                        "line": item.lineno,
+                        "types": _type_names(item.annotation, module.imports.names),
+                    }
+                    spec = _annotation_spec(item.annotation, module)
+                    if spec is not None:
+                        facts.attr_types[item.target.id] = spec
+            summary.classes[stmt.name] = facts
+        else:
+            toplevel.walk(stmt)
+    summary.local_defs = sorted(state.local_defs)
+    summary.pool_names = sorted(state.pool_names)
     return summary
 
 

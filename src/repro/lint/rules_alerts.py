@@ -18,7 +18,7 @@ from typing import Iterable, List, Sequence
 
 from repro.errors import ValidationError
 from repro.lint.catalog import CatalogEntry, globs_intersect, parse_catalog
-from repro.lint.core import Finding, ModuleSource, Rule
+from repro.lint.core import Finding, Rule
 from repro.obs.alerts import load_rules
 from repro.obs.series import HISTOGRAM_SERIES_SUFFIXES
 
@@ -64,7 +64,7 @@ class AlertRuleMetricRule(Rule):
         self.catalog_paths = list(catalog_paths)
         self.alert_rule_paths = list(alert_rule_paths)
 
-    def finalize(self, modules: Sequence[ModuleSource]) -> Iterable[Finding]:
+    def check(self, program, modules) -> Iterable[Finding]:
         if not self.alert_rule_paths:
             return []
         entries = parse_catalog(self.catalog_paths)

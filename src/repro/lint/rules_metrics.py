@@ -10,8 +10,8 @@ on.  Drift in either direction is a failure:
 - ``metric-stale``: the catalog promises a name nothing emits -- readers
   chase telemetry that does not exist.
 
-Emissions are collected from every string literal (or f-string pattern)
-passed to ``counter( / gauge( / histogram( / inc( / observe( /
+Emissions are every string literal (or f-string pattern) extraction
+found passed to ``counter( / gauge( / histogram( / inc( / observe( /
 set_gauge(`` and to ``span(``; f-string holes become wildcards and
 parity is decided by pattern intersection (see
 :mod:`repro.lint.catalog`).
@@ -24,9 +24,7 @@ leaves the stack unbalanced and corrupts every enclosing span path.
 
 from __future__ import annotations
 
-import ast
-from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Set
+from typing import Iterable, List, Optional, Sequence
 
 from repro.lint.catalog import (
     CatalogEntry,
@@ -34,83 +32,9 @@ from repro.lint.catalog import (
     globs_intersect,
     parse_catalog,
 )
-from repro.lint.core import Finding, ModuleSource, Rule
+from repro.lint.core import Finding, Rule
 
-__all__ = ["MetricCatalogRule", "MetricStaleRule", "SpanBalanceRule", "iter_emissions"]
-
-#: Registry methods whose first string argument names a metric.
-_EMIT_METHODS = {"counter", "gauge", "histogram", "inc", "observe", "set_gauge"}
-
-#: Canonical paths that resolve to the span context manager.
-_SPAN_FUNCS = {"repro.obs.span", "repro.obs.spans.span"}
-
-#: Span-plumbing internals that only ``repro/obs`` itself may touch.
-_SPAN_INTERNALS = {"record_span", "adopt_span"}
-
-
-@dataclass(frozen=True)
-class Emission:
-    """One metric-name emission site."""
-
-    glob: str  # wildcard pattern; concrete names have no '*'
-    display: str  # what to show in findings ('{...}' for f-string holes)
-    path: str
-    line: int
-    column: int
-
-
-def _literal_glob(node: ast.AST) -> Optional[tuple]:
-    """(glob, display) for a Constant-str or JoinedStr node, else None."""
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        return node.value, node.value
-    if isinstance(node, ast.JoinedStr):
-        glob_parts: List[str] = []
-        display_parts: List[str] = []
-        for part in node.values:
-            if isinstance(part, ast.Constant) and isinstance(part.value, str):
-                glob_parts.append(part.value)
-                display_parts.append(part.value)
-            else:
-                glob_parts.append("*")
-                display_parts.append("{...}")
-        return "".join(glob_parts), "".join(display_parts)
-    return None
-
-
-def _is_span_call(module: ModuleSource, call: ast.Call) -> bool:
-    if isinstance(call.func, ast.Name) and call.func.id == "span":
-        resolved = module.imports.resolve_call(call)
-        return resolved is None or resolved in _SPAN_FUNCS
-    return module.imports.resolve_call(call) in _SPAN_FUNCS
-
-
-def iter_emissions(module: ModuleSource) -> Iterable[Emission]:
-    """Every metric-name emission in one module."""
-    for node in ast.walk(module.tree):
-        if not isinstance(node, ast.Call) or not node.args:
-            continue
-        name = None
-        if (
-            isinstance(node.func, ast.Attribute)
-            and node.func.attr in _EMIT_METHODS
-        ):
-            name = _literal_glob(node.args[0])
-            if name is not None:
-                glob, display = name
-                yield Emission(glob, display, module.path, node.lineno, node.col_offset)
-        elif _is_span_call(module, node):
-            name = _literal_glob(node.args[0])
-            if name is not None:
-                glob, display = name
-                # A span named N records histogram span.<enclosing>.N.seconds;
-                # the enclosing prefix is dynamic, so it is a wildcard hole.
-                yield Emission(
-                    f"span.*{glob}.seconds",
-                    f"span.…{display}.seconds",
-                    module.path,
-                    node.lineno,
-                    node.col_offset,
-                )
+__all__ = ["MetricCatalogRule", "MetricStaleRule", "SpanBalanceRule"]
 
 
 class _CatalogMixin:
@@ -132,28 +56,21 @@ class MetricCatalogRule(_CatalogMixin, Rule):
         "(docs/API.md / docs/OBSERVABILITY.md)"
     )
 
-    def check_module(self, module: ModuleSource) -> Iterable[Finding]:
+    def check(self, program, modules) -> Iterable[Finding]:
         if not self.entries:
-            return []
-        findings: List[Finding] = []
-        for emission in iter_emissions(module):
-            if catalog_matches(emission.glob, self.entries):
-                continue
-            findings.append(
-                Finding(
-                    path=emission.path,
-                    line=emission.line,
-                    column=emission.column,
-                    rule=self.id,
-                    message=(
-                        f"metric '{emission.display}' is not in the catalog; "
-                        f"add it to {self.catalog_paths[0] if self.catalog_paths else 'the docs'} "
-                        "or rename it to a catalogued pattern"
-                    ),
-                    symbol=emission.display,
+            return
+        target = self.catalog_paths[0] if self.catalog_paths else "the docs"
+        for module in modules:
+            for site in module.sites("emissions"):
+                if catalog_matches(site["glob"], self.entries):
+                    continue
+                yield self.at(
+                    module.path, site,
+                    f"metric '{site['display']}' is not in the catalog; "
+                    f"add it to {target} or rename it to a catalogued "
+                    "pattern",
+                    site["display"],
                 )
-            )
-        return findings
 
 
 class MetricStaleRule(_CatalogMixin, Rule):
@@ -163,27 +80,23 @@ class MetricStaleRule(_CatalogMixin, Rule):
         "the linted tree (stale docs mislead dashboards)"
     )
 
-    def finalize(self, modules: Sequence[ModuleSource]) -> Iterable[Finding]:
-        emitted = [e.glob for m in modules for e in iter_emissions(m)]
-        findings: List[Finding] = []
+    def check(self, program, modules) -> Iterable[Finding]:
+        emitted = [e["glob"] for m in modules for e in m.sites("emissions")]
         for entry in self.entries:
             if any(globs_intersect(entry.glob, glob) for glob in emitted):
                 continue
-            findings.append(
-                Finding(
-                    path=entry.path,
-                    line=entry.line,
-                    column=0,
-                    rule=self.id,
-                    message=(
-                        f"catalogued metric '{entry.name}' is never emitted "
-                        "by the linted code; delete the row or restore the "
-                        "emission"
-                    ),
-                    symbol=entry.name,
-                )
+            yield Finding(
+                path=entry.path,
+                line=entry.line,
+                column=0,
+                rule=self.id,
+                message=(
+                    f"catalogued metric '{entry.name}' is never emitted "
+                    "by the linted code; delete the row or restore the "
+                    "emission"
+                ),
+                symbol=entry.name,
             )
-        return findings
 
 
 class SpanBalanceRule(Rule):
@@ -194,52 +107,24 @@ class SpanBalanceRule(Rule):
         "per-thread span stack"
     )
 
-    @staticmethod
-    def _in_obs(path: str) -> bool:
-        return "/obs/" in path
-
-    def check_module(self, module: ModuleSource) -> Iterable[Finding]:
-        findings: List[Finding] = []
-        with_contexts: Set[int] = set()
-        for node in ast.walk(module.tree):
-            if isinstance(node, (ast.With, ast.AsyncWith)):
-                for item in node.items:
-                    with_contexts.add(id(item.context_expr))
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            if _is_span_call(module, node) and id(node) not in with_contexts:
-                findings.append(
-                    Finding(
-                        path=module.path,
-                        line=node.lineno,
-                        column=node.col_offset,
-                        rule=self.id,
-                        message=(
-                            "span(...) must be the context of a 'with' "
-                            "statement; a bare call never closes and corrupts "
-                            "the span stack"
-                        ),
-                        symbol="span",
-                    )
-                )
-            elif (
-                isinstance(node.func, ast.Attribute)
-                and node.func.attr in _SPAN_INTERNALS
-                and not self._in_obs(module.path)
-            ):
-                findings.append(
-                    Finding(
-                        path=module.path,
-                        line=node.lineno,
-                        column=node.col_offset,
-                        rule=self.id,
-                        message=(
-                            f"manual {node.func.attr}() outside repro.obs "
+    def check(self, program, modules) -> Iterable[Finding]:
+        for module in modules:
+            in_obs = "/obs/" in module.path
+            for site in module.sites("spans"):
+                if site["name"] != "span":
+                    if not in_obs:
+                        yield self.at(
+                            module.path, site,
+                            f"manual {site['name']}() outside repro.obs "
                             "bypasses the span context manager; open spans "
-                            "with 'with span(...)'"
-                        ),
-                        symbol=node.func.attr,
+                            "with 'with span(...)'",
+                            site["name"],
+                        )
+                elif not site["in_with"]:
+                    yield self.at(
+                        module.path, site,
+                        "span(...) must be the context of a 'with' "
+                        "statement; a bare call never closes and corrupts "
+                        "the span stack",
+                        "span",
                     )
-                )
-        return findings

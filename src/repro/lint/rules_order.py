@@ -8,47 +8,17 @@ is not itself deterministic) in construction order injects
 process-salted hash ordering into a value that must be stable across
 interpreter launches.  Inside modules that touch the hashing API (or
 live in ``repro/exec/``), iteration over ``set(...)`` / set literals /
-``.keys()`` must go through ``sorted(...)``.
+``.keys()`` must go through ``sorted(...)``; extraction records those
+iteration sites for exactly these modules.
 """
 
 from __future__ import annotations
 
-import ast
-from typing import Iterable, List, Optional
+from typing import Iterable
 
-from repro.lint.core import Finding, ModuleSource, Rule
+from repro.lint.core import Finding, Rule
 
 __all__ = ["UnorderedIterRule"]
-
-#: Importing any of these marks a module as fingerprint-reachable.
-_HASHING_NAMES = {"derive_seed", "stable_fingerprint", "canonical_bytes"}
-
-
-def _fingerprint_scoped(module: ModuleSource) -> bool:
-    if "/exec/" in module.path or module.path.endswith("exec/__init__.py"):
-        return True
-    for canonical in module.imports.names.values():
-        if "repro.exec.hashing" in canonical:
-            return True
-        if canonical.rsplit(".", 1)[-1] in _HASHING_NAMES and canonical.startswith(
-            "repro."
-        ):
-            return True
-    return False
-
-
-def _unordered_source(node: ast.AST) -> Optional[str]:
-    """What unordered collection ``node`` iterates, if any."""
-    if isinstance(node, ast.Call):
-        if isinstance(node.func, ast.Name) and node.func.id in ("set", "frozenset"):
-            return f"{node.func.id}(...)"
-        if isinstance(node.func, ast.Attribute) and node.func.attr == "keys":
-            return ".keys()"
-    if isinstance(node, ast.Set):
-        return "a set literal"
-    if isinstance(node, ast.SetComp):
-        return "a set comprehension"
-    return None
 
 
 class UnorderedIterRule(Rule):
@@ -59,34 +29,13 @@ class UnorderedIterRule(Rule):
         "poisons fingerprints"
     )
 
-    def check_module(self, module: ModuleSource) -> Iterable[Finding]:
-        if not _fingerprint_scoped(module):
-            return []
-        findings: List[Finding] = []
-        iter_sites: List[ast.AST] = []
-        for node in ast.walk(module.tree):
-            if isinstance(node, (ast.For, ast.AsyncFor)):
-                iter_sites.append(node.iter)
-            elif isinstance(
-                node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
-            ):
-                iter_sites.extend(gen.iter for gen in node.generators)
-        for site in iter_sites:
-            source = _unordered_source(site)
-            if source is None:
-                continue
-            findings.append(
-                Finding(
-                    path=module.path,
-                    line=site.lineno,
-                    column=site.col_offset,
-                    rule=self.id,
-                    message=(
-                        f"iterating {source} in fingerprint-reachable code "
-                        "follows process-salted hash order; wrap the iterable "
-                        "in sorted(...)"
-                    ),
-                    symbol=source,
+    def check(self, program, modules) -> Iterable[Finding]:
+        for module in modules:
+            for site in module.sites("unordered_iters"):
+                yield self.at(
+                    module.path, site,
+                    f"iterating {site['source']} in fingerprint-reachable "
+                    "code follows process-salted hash order; wrap the "
+                    "iterable in sorted(...)",
+                    site["source"],
                 )
-            )
-        return findings

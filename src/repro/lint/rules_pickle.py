@@ -13,66 +13,29 @@ parallel evaluator / pool / executor.
 
 from __future__ import annotations
 
-import ast
-import re
-from typing import Iterable, List, Optional, Set
+from typing import Iterable, Optional, Sequence, Set
 
-from repro.lint.core import Finding, ModuleSource, Rule, expr_window
+from repro.lint.core import Finding, Rule
 
 __all__ = ["PickleSafetyRule"]
 
-_TASK_CTOR = re.compile(r"^[A-Z]\w*Task$")
-
-#: Receiver names whose ``.map(...)`` dispatches across processes.
+#: Receiver names whose ``.map(...)`` dispatches across processes (names
+#: bound from a pool type join them per module).
 _POOL_RECEIVERS = {"evaluator", "pool", "executor"}
 
-#: Constructors whose instances dispatch across processes; a name
-#: assigned from one of these makes that name a pool receiver too.
-_POOL_TYPES = {"ParallelEvaluator", "ProcessPoolExecutor", "Pool"}
 
-
-def _terminal_name(func: ast.AST) -> str:
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    if isinstance(func, ast.Name):
-        return func.id
-    return ""
-
-
-def _pool_bound_names(tree: ast.AST) -> Set[str]:
-    """Names assigned (or with-bound) from a pool-type constructor."""
-    names: Set[str] = set()
-    for node in ast.walk(tree):
-        value = None
-        targets: List[ast.AST] = []
-        if isinstance(node, ast.Assign):
-            value, targets = node.value, list(node.targets)
-        elif isinstance(node, ast.withitem) and node.optional_vars is not None:
-            value, targets = node.context_expr, [node.optional_vars]
-        if not isinstance(value, ast.Call):
-            continue
-        if _terminal_name(value.func) not in _POOL_TYPES:
-            continue
-        for target in targets:
-            if isinstance(target, ast.Name):
-                names.add(target.id)
-    return names
-
-
-def _local_defs(tree: ast.AST) -> Set[str]:
-    """Names of functions/classes defined inside another function."""
-    local: Set[str] = set()
-    for node in ast.walk(tree):
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        for child in ast.walk(node):
-            if child is node:
-                continue
-            if isinstance(
-                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            ):
-                local.add(child.name)
-    return local
+def _hazard(candidates: Sequence[Sequence[str]], local_defs: Set[str]) -> Optional[str]:
+    """The first unpicklable payload candidate, described; None if none."""
+    for kind, name in candidates:
+        if kind == "lambda":
+            return "a lambda"
+        if kind == "partial-lambda":
+            return "a functools.partial wrapping a lambda"
+        if name in local_defs:
+            if kind == "local":
+                return f"locally-defined '{name}'"
+            return f"a functools.partial wrapping locally-defined '{name}'"
+    return None
 
 
 class PickleSafetyRule(Rule):
@@ -83,98 +46,22 @@ class PickleSafetyRule(Rule):
         "into pool workers or the MP cache"
     )
 
-    def check_module(self, module: ModuleSource) -> Iterable[Finding]:
-        findings: List[Finding] = []
-        pool_names = _POOL_RECEIVERS | _pool_bound_names(module.tree)
-        local_defs = _local_defs(module.tree)
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            target = self._payload_target(node, pool_names)
-            if target is None:
-                continue
-            for value in list(node.args) + [kw.value for kw in node.keywords]:
-                bad = self._unpicklable(value, local_defs)
+    def check(self, program, modules) -> Iterable[Finding]:
+        for module in modules:
+            pools = _POOL_RECEIVERS.union(module.pool_names)
+            local_defs = set(module.local_defs)
+            for site in module.sites("payloads"):
+                if site["receiver"] is not None and site["receiver"] not in pools:
+                    continue
+                bad = _hazard(site["candidates"], local_defs)
                 if bad is None:
                     continue
-                findings.append(
-                    Finding(
-                        path=module.path,
-                        line=value.lineno,
-                        column=value.col_offset,
-                        rule=self.id,
-                        message=(
-                            f"{bad} passed into {target} will not pickle "
-                            "across the process boundary; use a module-level "
-                            "function or a frozen dataclass field instead"
-                        ),
-                        symbol=f"{target}:{bad}",
-                        # The pragma may sit anywhere on the enclosing
-                        # call -- its first line, the flagged argument,
-                        # or the closing-paren line.
-                        extra_lines=(node.lineno,) + expr_window(node),
-                    )
+                # The pragma may sit anywhere on the enclosing call -- its
+                # first line, the flagged argument, or the closing line.
+                yield self.at(
+                    module.path, site,
+                    f"{bad} passed into {site['sink']} will not pickle "
+                    "across the process boundary; use a module-level "
+                    "function or a frozen dataclass field instead",
+                    f"{site['sink']}:{bad}", site["window"],
                 )
-        return findings
-
-    @staticmethod
-    def _payload_target(call: ast.Call, pool_names: Set[str]) -> Optional[str]:
-        """The pickled-payload sink this call feeds, if any."""
-        name = _terminal_name(call.func)
-        if _TASK_CTOR.match(name) or name == "EvalTask":
-            return f"{name}(...)"
-        if (
-            isinstance(call.func, ast.Attribute)
-            and call.func.attr == "map"
-        ):
-            receiver = call.func.value
-            if isinstance(receiver, ast.Name) and receiver.id in pool_names:
-                return f"{receiver.id}.map(...)"
-            if (
-                isinstance(receiver, ast.Call)
-                and _terminal_name(receiver.func) in _POOL_TYPES
-            ):
-                return f"{_terminal_name(receiver.func)}().map(...)"
-        return None
-
-    @classmethod
-    def _unpicklable(cls, value: ast.AST, local_defs: Set[str]) -> Optional[str]:
-        if isinstance(value, ast.Lambda):
-            return "a lambda"
-        if isinstance(value, ast.Name) and value.id in local_defs:
-            return f"locally-defined '{value.id}'"
-        # functools.partial pickles by reference to whatever it wraps:
-        # partial(lambda ...) and partial(local_def) fail in the worker
-        # exactly like the bare callable would.
-        partial_payload = cls._partial_payload(value, local_defs)
-        if partial_payload is not None:
-            return partial_payload
-        # Containers of lambdas ([f, lambda: ...]) are payloads too.
-        if isinstance(value, (ast.List, ast.Tuple, ast.Set)):
-            for element in value.elts:
-                if isinstance(element, ast.Lambda):
-                    return "a lambda"
-                if isinstance(element, ast.Name) and element.id in local_defs:
-                    return f"locally-defined '{element.id}'"
-                partial_payload = cls._partial_payload(element, local_defs)
-                if partial_payload is not None:
-                    return partial_payload
-        return None
-
-    @staticmethod
-    def _partial_payload(
-        value: ast.AST, local_defs: Set[str]
-    ) -> Optional[str]:
-        """The description of a bad ``partial(...)`` payload, if any."""
-        if not isinstance(value, ast.Call):
-            return None
-        if _terminal_name(value.func) != "partial":
-            return None
-        for arg in list(value.args) + [kw.value for kw in value.keywords]:
-            if isinstance(arg, ast.Lambda):
-                return "a functools.partial wrapping a lambda"
-            if isinstance(arg, ast.Name) and arg.id in local_defs:
-                return (
-                    f"a functools.partial wrapping locally-defined '{arg.id}'"
-                )
-        return None

@@ -16,52 +16,12 @@ Three rules enforce the discipline:
 
 from __future__ import annotations
 
-import ast
-from fnmatch import fnmatch
-from typing import Iterable, List
+from typing import Iterable
 
-from repro.lint.core import Finding, ModuleSource, Rule, expr_window
+from repro.lint.core import Finding, Rule
+from repro.lint.graph import seedlike
 
 __all__ = ["RngUnseededRule", "RngGlobalStateRule", "RngMissingParamRule"]
-
-#: Constructors that take the seed as their first argument: calling them
-#: with *no* arguments means "seed me from OS entropy" -- banned.
-_SEEDED_CONSTRUCTORS = {
-    "numpy.random.default_rng",
-    "numpy.random.RandomState",
-    "numpy.random.SeedSequence",
-    "random.Random",
-}
-
-#: ``numpy.random`` attributes that are fine to call: explicit
-#: generator/bit-generator construction (unseeded use is caught by
-#: ``rng-unseeded``).  Everything else on the module is the legacy
-#: global-state API (``np.random.normal``, ``np.random.seed``, ...).
-_NUMPY_CONSTRUCTORS = {
-    "default_rng",
-    "Generator",
-    "RandomState",
-    "BitGenerator",
-    "SeedSequence",
-    "PCG64",
-    "PCG64DXSM",
-    "Philox",
-    "MT19937",
-    "SFC64",
-}
-
-#: Function-name shapes that build or sample random worlds and therefore
-#: must accept a pluggable seed.
-_WORLD_PATTERNS = ("*_world", "generate_*", "sample_*")
-
-#: Parameter names that count as a plumbed seed.
-_SEED_PARAMS = {"rng", "seed", "seeds", "random_state", "generator"}
-_SEED_SUFFIXES = ("_rng", "_seed")
-_SEED_PREFIXES = ("rng_", "seed_")
-
-
-def _call_symbol(module: ModuleSource, call: ast.Call) -> str:
-    return module.imports.resolve_call(call) or ast.dump(call.func)[:40]
 
 
 class RngUnseededRule(Rule):
@@ -71,28 +31,17 @@ class RngUnseededRule(Rule):
         "no argument draw from OS entropy and break replay"
     )
 
-    def check_module(self, module: ModuleSource) -> Iterable[Finding]:
-        findings: List[Finding] = []
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call) or node.args or node.keywords:
-                continue
-            resolved = module.imports.resolve_call(node)
-            if resolved in _SEEDED_CONSTRUCTORS:
-                findings.append(
-                    Finding(
-                        path=module.path,
-                        line=node.lineno,
-                        column=node.col_offset,
-                        rule=self.id,
-                        message=(
-                            f"{resolved}() with no seed draws from OS entropy; "
-                            "pass a seed derived from the plumbed root seed"
-                        ),
-                        symbol=resolved,
-                        extra_lines=expr_window(node),
-                    )
+    def check(self, program, modules) -> Iterable[Finding]:
+        for module in modules:
+            for site in module.sites("rng_sites"):
+                if site["seeded"]:
+                    continue
+                yield self.at(
+                    module.path, site,
+                    f"{site['ctor']}() with no seed draws from OS entropy; "
+                    "pass a seed derived from the plumbed root seed",
+                    site["ctor"], site["window"],
                 )
-        return findings
 
 
 class RngGlobalStateRule(Rule):
@@ -102,40 +51,16 @@ class RngGlobalStateRule(Rule):
         "state; use a Generator threaded through the call tree"
     )
 
-    def check_module(self, module: ModuleSource) -> Iterable[Finding]:
-        findings: List[Finding] = []
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            resolved = module.imports.resolve_call(node)
-            if resolved is None:
-                continue
-            offender = None
-            if resolved.startswith("numpy.random."):
-                tail = resolved[len("numpy.random."):]
-                if "." not in tail and tail not in _NUMPY_CONSTRUCTORS:
-                    offender = resolved
-            elif resolved.startswith("random."):
-                tail = resolved[len("random."):]
-                if "." not in tail and tail != "Random":
-                    offender = resolved
-            if offender is not None:
-                findings.append(
-                    Finding(
-                        path=module.path,
-                        line=node.lineno,
-                        column=node.col_offset,
-                        rule=self.id,
-                        message=(
-                            f"{offender}() uses the process-global RNG stream; "
-                            "draw from an explicitly seeded np.random.Generator "
-                            "instead"
-                        ),
-                        symbol=offender,
-                        extra_lines=expr_window(node),
-                    )
+    def check(self, program, modules) -> Iterable[Finding]:
+        for module in modules:
+            for site in module.sites("rng_globals"):
+                yield self.at(
+                    module.path, site,
+                    f"{site['api']}() uses the process-global RNG stream; "
+                    "draw from an explicitly seeded np.random.Generator "
+                    "instead",
+                    site["api"], site["window"],
                 )
-        return findings
 
 
 class RngMissingParamRule(Rule):
@@ -145,52 +70,20 @@ class RngMissingParamRule(Rule):
         "rng/seed parameter so determinism can be plumbed through"
     )
 
-    @staticmethod
-    def _is_seed_param(name: str) -> bool:
-        return (
-            name in _SEED_PARAMS
-            or name.endswith(_SEED_SUFFIXES)
-            or name.startswith(_SEED_PREFIXES)
-        )
-
-    def check_module(self, module: ModuleSource) -> Iterable[Finding]:
-        findings: List[Finding] = []
-        for node in ast.walk(module.tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            name = node.name
-            if not any(fnmatch(name, pattern) for pattern in _WORLD_PATTERNS):
-                continue
-            params = [
-                arg.arg
-                for arg in (
-                    node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+    def check(self, program, modules) -> Iterable[Finding]:
+        # Methods whose instance took the seed at construction time are
+        # still flagged (``self`` alone is not evidence of a seed): carry
+        # a pragma if the instance genuinely owns a seeded Generator.  A
+        # pragma on a decorator line counts too -- the def line is often
+        # mid-signature.
+        for module in modules:
+            for site in module.sites("builders"):
+                if any(seedlike(p, taint=False) for p in site["params"]):
+                    continue
+                yield self.at(
+                    module.path, site,
+                    f"'{site['name']}' builds or samples random structure "
+                    "but has no rng/seed parameter; callers cannot plumb the "
+                    "root seed through it",
+                    site["name"], site["decorator_lines"],
                 )
-            ]
-            if any(self._is_seed_param(param) for param in params):
-                continue
-            # Methods of classes that took the seed at construction time
-            # hold it on ``self``; only flag free functions and methods
-            # with no seed-ish parameter at all (``self`` alone is not
-            # evidence of a seed, so those are still flagged -- carry a
-            # pragma if the instance genuinely owns a seeded Generator).
-            findings.append(
-                Finding(
-                    path=module.path,
-                    line=node.lineno,
-                    column=node.col_offset,
-                    rule=self.id,
-                    message=(
-                        f"'{name}' builds or samples random structure but has "
-                        "no rng/seed parameter; callers cannot plumb the root "
-                        "seed through it"
-                    ),
-                    symbol=name,
-                    # A pragma on any decorator line above the def also
-                    # suppresses -- the def line is often mid-signature.
-                    extra_lines=tuple(
-                        d.lineno for d in node.decorator_list
-                    ),
-                )
-            )
-        return findings

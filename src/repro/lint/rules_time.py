@@ -11,21 +11,11 @@ timestamp is the one sanctioned source in this repo).
 
 from __future__ import annotations
 
-import ast
-from typing import Iterable, List
+from typing import Iterable
 
-from repro.lint.core import Finding, ModuleSource, Rule
+from repro.lint.core import Finding, Rule
 
 __all__ = ["WallClockRule"]
-
-_BANNED = {
-    "time.time",
-    "time.time_ns",
-    "datetime.datetime.now",
-    "datetime.datetime.utcnow",
-    "datetime.datetime.today",
-    "datetime.date.today",
-}
 
 
 class WallClockRule(Rule):
@@ -35,25 +25,13 @@ class WallClockRule(Rule):
         "time in a fingerprinted path breaks bit-identical replay"
     )
 
-    def check_module(self, module: ModuleSource) -> Iterable[Finding]:
-        findings: List[Finding] = []
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            resolved = module.imports.resolve_call(node)
-            if resolved in _BANNED:
-                findings.append(
-                    Finding(
-                        path=module.path,
-                        line=node.lineno,
-                        column=node.col_offset,
-                        rule=self.id,
-                        message=(
-                            f"{resolved}() reads the wall clock; use "
-                            "perf_counter for durations, or pragma this line "
-                            "if it is a sanctioned timestamp source"
-                        ),
-                        symbol=resolved,
-                    )
+    def check(self, program, modules) -> Iterable[Finding]:
+        for module in modules:
+            for site in module.sites("wallclock"):
+                yield self.at(
+                    module.path, site,
+                    f"{site['name']}() reads the wall clock; use "
+                    "perf_counter for durations, or pragma this line "
+                    "if it is a sanctioned timestamp source",
+                    site["name"],
                 )
-        return findings

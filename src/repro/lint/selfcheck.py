@@ -26,7 +26,7 @@ __all__ = ["main", "run_selfcheck"]
 
 DEFAULT_CORPUS = "tests/fixtures/lint_corpus"
 
-#: The families the corpus seeds violations for.  Per-file rules outside
+#: The families the corpus seeds violations for.  Site rules outside
 #: this set are deliberately not run: the corpus pragmas some of them off
 #: to isolate the interprocedural finding (see ``wallclock_feed_bad``).
 SELECTED_RULES = {

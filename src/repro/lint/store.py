@@ -1,17 +1,19 @@
 """Content-hash keyed cache for per-module analysis summaries.
 
 Extraction (:func:`repro.lint.graph.extract_summary`) is a pure
-function of a file's text, so its result can be reused across runs as
-long as the text has not changed.  The store keeps one JSON file
-(``.repro-lint-cache.json`` by default) mapping each analyzed path to
-its content digest and serialized :class:`~repro.lint.graph.ModuleSummary`;
+function of a file's text and of the extraction code, so its result can
+be reused across runs as long as neither has changed.  The store keeps
+one JSON file (``.repro-lint-cache.json`` by default) mapping each
+analyzed path to its content digest and serialized
+:class:`~repro.lint.graph.ModuleSummary`;
 a warm run re-extracts only the modules whose digest moved and loads the
 rest straight from disk, which is what keeps ``--changed-only`` and the
 CI cache cheap.
 
-The file is versioned by the extraction schema: when
-:data:`repro.lint.graph.SCHEMA_VERSION` bumps, every cached entry is
-silently discarded rather than risking stale-shaped summaries.
+The file is keyed by :data:`repro.lint.graph.EXTRACTOR_DIGEST`, a digest
+of the extraction code itself: a cache written by any other version of
+that code -- including one restored across commits in CI -- is
+discarded whole rather than read as current facts.
 """
 
 from __future__ import annotations
@@ -23,11 +25,9 @@ import tempfile
 from pathlib import Path
 from typing import Dict, Optional
 
-from repro.lint.graph import SCHEMA_VERSION, ModuleSummary
+from repro.lint.graph import EXTRACTOR_DIGEST, ModuleSummary, module_name_for
 
 __all__ = ["AnalysisStore", "content_digest"]
-
-DEFAULT_STORE = ".repro-lint-cache.json"
 
 
 def content_digest(text: str) -> str:
@@ -55,20 +55,27 @@ class AnalysisStore:
             return
         if not isinstance(payload, dict):
             return
-        if payload.get("version") != SCHEMA_VERSION:
+        if payload.get("extractor") != EXTRACTOR_DIGEST:
             return
         entries = payload.get("entries")
         if isinstance(entries, dict):
             self.entries = entries
 
     def get(self, path: str, digest: str) -> Optional[ModuleSummary]:
-        """The cached summary for ``path`` iff its digest still matches."""
+        """The cached summary for ``path`` iff its digest still matches.
+
+        The dotted module name is not part of the text: it comes from the
+        ``__init__.py`` files around ``path``, so an entry whose name no
+        longer matches the package layout is stale too.
+        """
         entry = self.entries.get(path)
         if not entry or entry.get("digest") != digest:
             return None
         try:
             summary = ModuleSummary.from_dict(entry["summary"])
         except (KeyError, TypeError, ValueError):
+            return None
+        if summary.module != module_name_for(Path(path)):
             return None
         self.hits.append(path)
         return summary
@@ -89,7 +96,7 @@ class AnalysisStore:
         """Atomically persist the store (no-op without a backing path)."""
         if self.path is None:
             return
-        payload = {"version": SCHEMA_VERSION, "entries": self.entries}
+        payload = {"extractor": EXTRACTOR_DIGEST, "entries": self.entries}
         text = json.dumps(payload, sort_keys=True)
         directory = self.path.parent
         directory.mkdir(parents=True, exist_ok=True)

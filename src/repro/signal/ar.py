@@ -107,6 +107,12 @@ def fit_ar_covariance(x: np.ndarray, order: int) -> ARFit:
         solution = np.linalg.solve(gram, cross)
     except np.linalg.LinAlgError:
         solution = np.linalg.pinv(gram) @ cross
+    else:
+        # A gram matrix whose entries underflow (subnormal ratings) can be
+        # numerically singular without LAPACK reporting it; the LU solve
+        # then returns NaN/inf coefficients.
+        if not np.all(np.isfinite(solution)):
+            solution = np.linalg.pinv(gram) @ cross
     coefficients = -solution  # convention: x[n] + sum a_k x[n-k] = residual
     residual = target - design @ solution
     error_power = float(residual @ residual)
@@ -179,7 +185,7 @@ def _normalized_errors_from_operands(
 
     One batched gram / solve / residual pass over all windows; raises
     :class:`numpy.linalg.LinAlgError` when any window's normal equations
-    are singular (the caller falls back to the per-window pinv path for that
+    are singular or solve to non-finite coefficients (the caller falls back to the per-window pinv path for that
     stream).  ``variances`` holds each window's value variance; windows
     with (near-)zero variance get error ``1.0``, matching
     :func:`fit_ar_covariance`.
@@ -190,6 +196,8 @@ def _normalized_errors_from_operands(
     grams = np.matmul(transposed, designs)
     crosses = np.matmul(transposed, targets[:, :, None])
     solutions = np.linalg.solve(grams, crosses)
+    if not np.all(np.isfinite(solutions)):
+        raise np.linalg.LinAlgError("numerically singular AR window")
     residuals = targets - np.matmul(designs, solutions)[:, :, 0]
     error_powers = np.matmul(residuals[:, None, :], residuals[:, :, None])[
         :, 0, 0

@@ -168,19 +168,16 @@ class TestPScheme:
         second = scheme.monthly_scores(ds, 30.0, 0.0, 90.0)
         np.testing.assert_array_equal(first["p"], second["p"])
 
-    def test_cache_disabled(self):
-        scheme = PScheme(PSchemeConfig(cache_size=0))
-        ds = constant_dataset(4.0)
-        scores = scheme.monthly_scores(ds, 30.0, 0.0, 90.0)
-        assert np.isfinite(scores["p"]).all()
+    def test_report_cache_capacity(self):
+        # One fixed capacity per instance, not a per-config knob.
+        assert PScheme.report_cache_size == 128
+        assert not hasattr(PSchemeConfig(), "cache_size")
 
     def test_invalid_config(self):
         with pytest.raises(ValidationError):
             PSchemeConfig(initial_trust=1.0)
         with pytest.raises(ValidationError):
             PSchemeConfig(filter_trust_threshold=-0.1)
-        with pytest.raises(ValidationError):
-            PSchemeConfig(cache_size=-1)
 
     def test_name(self):
         assert PScheme().name == "P"
@@ -237,7 +234,7 @@ class TestReportCacheKeys:
 
     def test_fair_reports_survive_more_inserts_than_capacity(self, registry):
         scheme = PScheme()
-        capacity = max(4 * scheme.config.cache_size, 64)
+        capacity = scheme.report_cache_size
         fair = noisy_stream("fair")
         attacks = capacity + 16
         for i in range(attacks):

@@ -389,6 +389,32 @@ class TestLintCommand:
         assert payload["findings"][0]["rule"] == "wall-clock"
         capsys.readouterr()
 
+    def test_lint_takes_every_repro_lint_option(self, tmp_path, capsys, monkeypatch):
+        # `-q`, `--catalog` and `--alert-rules` belong to repro.lint; the
+        # subcommand hands them over exactly as `python -m repro.lint`
+        # receives them (not to the global --alert-rules flag).
+        from repro.lint import main as lint_main
+
+        monkeypatch.chdir(tmp_path)
+        good = tmp_path / "good.py"
+        good.write_text("registry.inc('exec.tasks')\n")
+        catalog = tmp_path / "catalog.md"
+        catalog.write_text(
+            "| metric | type | meaning |\n|---|---|---|\n"
+            "| `exec.tasks` | counter | tasks dispatched |\n"
+        )
+        rules = tmp_path / "rules.toml"
+        rules.write_text('[[rule]]\nname = "r"\nmetric = "no.such.metric"\n')
+        argv = [str(good), "-q", "--no-cache", "--catalog", str(catalog)]
+        assert main(["lint", *argv]) == 0
+        assert capsys.readouterr().out == ""  # -q: no summary line
+        with_rules = argv + ["--alert-rules", str(rules)]
+        assert lint_main(with_rules) == 1
+        direct = capsys.readouterr().out
+        assert main(["lint", *with_rules]) == 1
+        assert capsys.readouterr().out == direct
+        assert "alert-unknown-metric" in direct
+
     def test_lint_list_rules(self, capsys):
         assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out

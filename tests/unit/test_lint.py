@@ -7,6 +7,7 @@ tree is clean under the committed baseline -- the invariant every future
 PR inherits.
 """
 
+import ast
 import json
 import subprocess
 import sys
@@ -21,7 +22,7 @@ from repro.lint.catalog import (
     parse_catalog_text,
     pattern_to_glob,
 )
-from repro.lint.core import Finding, Linter, ModuleSource, baseline_payload
+from repro.lint.core import Finding, ModuleSource, baseline_payload
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -964,6 +965,83 @@ class TestAnalysisPlumbing:
         sarif = to_sarif(result, default_rules(config))
         (entry,) = sarif["runs"][0]["results"]
         assert entry["suppressions"][0]["kind"] == "external"
+
+    # One violation per site rule, including a module-level site and a
+    # multiline call whose pragma sits on its closing line.
+    SITE_FIXTURE = (
+        "import time\n"
+        "\n"
+        "import numpy as np\n"
+        "from repro.exec.hashing import derive_seed\n"
+        "from repro.obs import span\n"
+        "\n"
+        "MODULE_RNG = np.random.default_rng()\n"
+        "np.random.seed(3)\n"
+        "blessed = np.random.default_rng(\n"
+        ")  # lint: ignore[rng-unseeded]\n"
+        "\n"
+        "\n"
+        "def generate_world(count):\n"
+        "    return time.time() + count\n"
+        "\n"
+        "\n"
+        "def dispatch(evaluator, parts, registry):\n"
+        "    registry.inc('exec.tasks')\n"
+        "    registry.inc('fixture.uncatalogued')\n"
+        "    opened = span('exec.map')\n"
+        "    seeds = [derive_seed(0, p) for p in set(parts)]\n"
+        "    return opened, evaluator.map(lambda s: s, seeds)\n"
+    )
+
+    def test_warm_run_parses_nothing_and_matches_cold(self, tmp_path, monkeypatch):
+        fixture = tmp_path / "site_rules.py"
+        fixture.write_text(self.SITE_FIXTURE)
+        catalog = tmp_path / "CATALOG.md"
+        catalog.write_text(CATALOG_MD)
+        paths = [str(REPO_ROOT / "tests/fixtures/lint_corpus"), str(fixture)]
+
+        def run(cache):
+            config = LintConfig(catalog_paths=[str(catalog)], cache_path=cache)
+            return run_lint(paths, config)
+
+        uncached = run(None)
+        cache = str(tmp_path / "cache.json")
+        cold = run(cache)
+        assert sorted(cold.analysis["analyzed"]) == sorted(
+            uncached.analysis["analyzed"]
+        )
+
+        def no_parsing(*args, **kwargs):
+            raise AssertionError("a warm run must not parse any module")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ast, "parse", no_parsing)
+            warm = run(cache)
+        assert warm.analysis["analyzed"] == []
+        assert len(warm.analysis["cached"]) == len(cold.analysis["analyzed"])
+        for result in (cold, warm):
+            assert result.findings == uncached.findings
+            assert [f.message for f in result.findings] == [
+                f.message for f in uncached.findings
+            ]
+            assert result.pragma_suppressed == uncached.pragma_suppressed
+
+        fixture_hits = {
+            (f.rule, f.line) for f in uncached.findings
+            if f.path == str(fixture)
+        }
+        assert fixture_hits == {
+            ("rng-unseeded", 7),
+            ("rng-global-state", 8),
+            ("rng-missing-param", 13),
+            ("wall-clock", 14),
+            ("metric-uncataloged", 19),
+            ("span-balance", 20),
+            ("unordered-iter", 21),
+            ("pickle-safety", 22),
+        }
+        assert "metric-stale" in rule_ids(uncached)
+        assert uncached.pragma_suppressed >= 1
 
     def test_selfcheck_matches_committed_corpus(self):
         from repro.lint.selfcheck import run_selfcheck

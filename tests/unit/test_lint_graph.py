@@ -13,6 +13,7 @@ import json
 import textwrap
 from pathlib import Path
 
+from repro.lint import store as store_module
 from repro.lint.core import ModuleSource, walk_python_files
 from repro.lint.graph import (
     ModuleSummary,
@@ -364,6 +365,29 @@ class TestAnalysisStore:
             "entries": {"mod.py": {"digest": "d", "summary": {}}},
         }))
         assert AnalysisStore(store_path).entries == {}
+
+    def test_changed_extractor_digest_discards_every_entry(self, tmp_path, monkeypatch):
+        # A cache written by other extraction code (say, restored across
+        # commits in CI) must not serve its facts as current.
+        store_path = tmp_path / "cache.json"
+        module = parse_one(tmp_path, "def f():\n    return 1\n")
+        store = AnalysisStore(store_path)
+        store.put(extract_summary(module, content_digest(module.text)))
+        store.save()
+        assert AnalysisStore(store_path).entries
+        monkeypatch.setattr(store_module, "EXTRACTOR_DIGEST", "other-extractor")
+        assert AnalysisStore(store_path).entries == {}
+
+    def test_package_layout_change_invalidates_entry(self, tmp_path):
+        # Same text, new dotted name: `mod` became `pkg.mod` once the
+        # directory turned into a package, so the cached links are stale.
+        module = parse_one(tmp_path, "def f():\n    return 1\n", "pkg/mod.py")
+        digest = content_digest(module.text)
+        store = AnalysisStore(None)
+        store.put(extract_summary(module, digest))
+        assert store.get(module.path, digest).module == "mod"
+        (tmp_path / "pkg" / "__init__.py").write_text("")
+        assert store.get(module.path, digest) is None
 
     def test_corrupt_store_is_ignored(self, tmp_path):
         store_path = tmp_path / "cache.json"

@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from repro.errors import EmptyDataError, ValidationError
-from repro.signal.ar import fit_ar_covariance, model_error
+from repro.signal.ar import (
+    fit_ar_covariance,
+    model_error,
+    sliding_ar_normalized_errors,
+)
 from repro.signal.clustering import (
     single_linkage_two_clusters,
     two_cluster_split_1d,
@@ -33,6 +37,17 @@ class TestARCovariance:
 
     def test_constant_window_defined_as_noise(self):
         assert model_error(np.full(50, 4.0), order=4) == 1.0
+
+    def test_subnormal_window_stays_finite(self):
+        # The gram matrix underflows to numerical singularity without
+        # LAPACK raising; both the scalar and the sliding fit must still
+        # return finite (and identical) errors.
+        x = np.array([2.0, 2.22507386e-313, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+        fit = fit_ar_covariance(x, 2)
+        assert np.all(np.isfinite(fit.coefficients))
+        assert np.isfinite(fit.normalized_error)
+        sliding = sliding_ar_normalized_errors(x, 8, 2)
+        assert np.array_equal(sliding, [fit.normalized_error])
 
     def test_exact_ar2_signal(self):
         # Deterministic AR(2) process has zero prediction error.
